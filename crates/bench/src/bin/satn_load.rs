@@ -41,9 +41,8 @@
 //! prints the same summary to stdout. Retries the initial connection for a
 //! few seconds so it can be launched alongside `satnd`.
 
-use satn_bench::LatencyHistogram;
 use satn_core::AlgorithmKind;
-use satn_obs::{names, MetricsSnapshot};
+use satn_obs::{names, LatencyHistogram, MetricsSnapshot};
 use satn_serve::{
     EpochedPartition, HandoverMode, Ingest, ReshardPlan, ServeError, ShardedScenario, TcpIngest,
     DEFAULT_WINDOW,
@@ -401,6 +400,11 @@ fn main() -> ExitCode {
     };
 
     let scenario = ShardedScenario::new(algorithm, workload, shards, levels, requests, seed);
+    // The same geometry bounds `satnd` enforces on the engine it builds.
+    if let Err(reason) = scenario.checked_universe() {
+        eprintln!("satn-load: {reason}");
+        return ExitCode::FAILURE;
+    }
     let report = match run(
         &addr,
         &scenario,

@@ -22,12 +22,13 @@ use rand::{Rng, SeedableRng};
 use satn_core::AlgorithmKind;
 use satn_network::{Host, HostPair, SelfAdjustingNetwork};
 use satn_serve::{
-    ingest_channel, replay, HandoverMode, Parallelism, ReshardPolicy, ReshardSchedule,
+    ingest_channel_with_metrics, replay, HandoverMode, Parallelism, ReshardPolicy, ReshardSchedule,
     ShardedEngineConfig, SourceShardedEngine,
 };
 use satn_sim::{ShardRouter, ShardedScenario, SimRunner, WorkloadSpec};
 use satn_tree::ElementId;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Instant;
 
 const USAGE: &str = "usage: serve-smoke [--shards N] [--threads N|auto|serial] [--requests N] \
@@ -55,7 +56,7 @@ fn run_and_verify(scenario: &ShardedScenario, parallelism: Parallelism) -> Optio
     };
     let requests: Vec<ElementId> = scenario.stream().collect();
     let started = Instant::now();
-    let (mut sender, queue) = ingest_channel(16);
+    let (mut sender, queue) = ingest_channel_with_metrics(16, Arc::clone(engine.metrics()));
     let report = std::thread::scope(|scope| {
         scope.spawn(move || {
             // A closed queue only means the engine failed first; that error

@@ -25,11 +25,9 @@
 mod config;
 pub mod experiments;
 pub mod extensions;
-mod histogram;
 mod measure;
 mod report;
 
 pub use config::ExperimentConfig;
-pub use histogram::LatencyHistogram;
 pub use measure::{cost_of, measure_algorithms, measure_once, AlgorithmCost};
 pub use report::{fmt, FigureResult, TextTable};

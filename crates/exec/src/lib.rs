@@ -17,10 +17,10 @@
 //! * No dependencies (the build environment has no crates.io access; no
 //!   rayon). Workers are [`std::thread::scope`] threads, so borrowed inputs
 //!   need no `'static` gymnastics.
-//! * Work distribution is a chunked atomic work queue: workers claim the
-//!   next chunk of indices with a single `fetch_add`, so load balancing is
-//!   dynamic (a slow cell never serializes the grid) while claim overhead
-//!   stays one atomic per chunk.
+//! * Work distribution is an atomic work queue: workers claim the next
+//!   index with a single `fetch_add`, so load balancing is dynamic (a slow
+//!   cell never serializes the grid) while claim overhead stays one atomic
+//!   per item.
 //! * Each worker buffers `(index, result)` pairs locally; the caller's
 //!   thread merges them back into input order after the scope joins. No
 //!   locks anywhere on the hot path.
@@ -135,8 +135,7 @@ impl FromStr for Parallelism {
 /// `items.iter().map(f).collect()`.
 ///
 /// Work is claimed one item at a time, which suits the coarse work items of
-/// this workspace (a scenario cell runs for milliseconds to seconds); use
-/// [`ordered_map_chunked`] for fine-grained items.
+/// this workspace (a scenario cell runs for milliseconds to seconds).
 ///
 /// # Panics
 ///
@@ -147,49 +146,23 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    ordered_map_chunked(items, parallelism, 1, f)
-}
-
-/// [`ordered_map`] with an explicit claim-chunk size: each `fetch_add` on the
-/// shared work counter hands a worker `chunk` consecutive items. Larger
-/// chunks amortise claim overhead for very cheap `f`; chunking never affects
-/// the output, only the schedule.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero; propagates the first panic raised by `f`.
-pub fn ordered_map_chunked<T, R, F>(
-    items: &[T],
-    parallelism: Parallelism,
-    chunk: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    assert!(chunk > 0, "the claim-chunk size must be positive");
     let workers = parallelism.threads().min(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
 
-    let next_chunk = AtomicUsize::new(0);
+    let next = AtomicUsize::new(0);
     let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut local: Vec<(usize, R)> = Vec::new();
                     loop {
-                        let start = next_chunk.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= items.len() {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        if index >= items.len() {
                             return local;
                         }
-                        let end = (start + chunk).min(items.len());
-                        for index in start..end {
-                            local.push((index, f(&items[index])));
-                        }
+                        local.push((index, f(&items[index])));
                     }
                 })
             })
@@ -297,27 +270,6 @@ where
     });
 }
 
-/// Maps `f` over `items` with mutable access, returning the results in input
-/// order — [`ordered_map`] for stateful work items. Built on
-/// [`for_each_ordered`], so results are collected as their prefix completes.
-///
-/// # Panics
-///
-/// Propagates the first panic raised by `f`.
-pub fn ordered_map_mut<T, R, F>(items: &mut [T], parallelism: Parallelism, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let mut results = Vec::with_capacity(items.len());
-    for_each_ordered(items, parallelism, f, |index, result| {
-        debug_assert_eq!(index, results.len());
-        results.push(result);
-    });
-    results
-}
-
 /// A handle for spawning dynamically discovered tasks onto the scoped pool
 /// of a [`task_scope`] call.
 ///
@@ -330,7 +282,7 @@ where
 pub struct TaskScope<'env> {
     state: Mutex<TaskQueue<'env>>,
     available: Condvar,
-    gauges: Option<&'env satn_obs::TaskGauges>,
+    gauges: &'env satn_obs::TaskGauges,
 }
 
 struct TaskQueue<'env> {
@@ -347,9 +299,7 @@ impl<'env> TaskScope<'env> {
         assert!(!state.closed, "spawn after the task scope closed");
         state.tasks.push_back(Box::new(task));
         drop(state);
-        if let Some(gauges) = self.gauges {
-            gauges.queued.inc();
-        }
+        self.gauges.queued.inc();
         self.available.notify_one();
     }
 
@@ -400,29 +350,21 @@ impl fmt::Debug for TaskScope<'_> {
 /// runs even under [`Parallelism::Serial`]; serial mode bounds concurrent
 /// tasks to one, it does not defer them until `f` returns.
 ///
+/// Spawned tasks move `gauges` through `queued → running → completed` as
+/// they progress through the pool: relaxed atomics on the existing lock
+/// boundaries, so the telemetry adds no lock and no allocation to the task
+/// path.
+///
 /// # Panics
 ///
 /// Propagates the first panic raised by a task (after all workers have
 /// stopped) — mirroring the ordered-map primitives. Queued tasks behind a
-/// panicking worker may be abandoned.
-pub fn task_scope<'env, R>(parallelism: Parallelism, f: impl FnOnce(&TaskScope<'env>) -> R) -> R {
-    task_scope_instrumented(parallelism, None, f)
-}
-
-/// [`task_scope`] with optional task-lifecycle telemetry: when `gauges` is
-/// provided, spawned tasks move its `queued → running → completed` gauges as
-/// they progress through the pool. The gauge updates are relaxed atomics on
-/// the existing lock boundaries — instrumentation adds no lock and no
-/// allocation to the task path.
-///
-/// # Panics
-///
-/// Propagates the first panic raised by a task, like [`task_scope`]. A
-/// panicking task is neither completed nor decremented from `running` — the
-/// whole scope is unwinding at that point and the gauges are advisory.
-pub fn task_scope_instrumented<'env, R>(
+/// panicking worker may be abandoned, and the panicking task is neither
+/// completed nor decremented from `running`: the whole scope is unwinding
+/// at that point and the gauges are advisory.
+pub fn task_scope<'env, R>(
     parallelism: Parallelism,
-    gauges: Option<&'env satn_obs::TaskGauges>,
+    gauges: &'env satn_obs::TaskGauges,
     f: impl FnOnce(&TaskScope<'env>) -> R,
 ) -> R {
     let scope = TaskScope {
@@ -440,15 +382,11 @@ pub fn task_scope_instrumented<'env, R>(
                 let scope = &scope;
                 s.spawn(move || {
                     while let Some(task) = scope.next_task() {
-                        if let Some(gauges) = scope.gauges {
-                            gauges.queued.dec();
-                            gauges.running.inc();
-                        }
+                        scope.gauges.queued.dec();
+                        scope.gauges.running.inc();
                         task();
-                        if let Some(gauges) = scope.gauges {
-                            gauges.running.dec();
-                            gauges.completed.inc();
-                        }
+                        scope.gauges.running.dec();
+                        scope.gauges.completed.inc();
                     }
                 })
             })
@@ -492,15 +430,6 @@ mod tests {
         ] {
             let got = ordered_map(&items, parallelism, |&n| n.wrapping_mul(31) ^ 7);
             assert_eq!(got, expected, "{parallelism:?}");
-        }
-    }
-
-    #[test]
-    fn chunked_claiming_covers_every_item_exactly_once() {
-        let items: Vec<usize> = (0..100).collect();
-        for chunk in [1usize, 3, 7, 64, 1000] {
-            let got = ordered_map_chunked(&items, Parallelism::Threads(4), chunk, |&n| n);
-            assert_eq!(got, items, "chunk {chunk}");
         }
     }
 
@@ -571,12 +500,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_chunk_is_rejected() {
-        ordered_map_chunked(&[1], Parallelism::Serial, 0, |&n: &i32| n);
-    }
-
-    #[test]
     fn for_each_ordered_streams_prefixes_in_input_order() {
         let mut items: Vec<u64> = (0..137).collect();
         for parallelism in [
@@ -621,22 +544,6 @@ mod tests {
     }
 
     #[test]
-    fn ordered_map_mut_matches_serial_map() {
-        let mut serial: Vec<u64> = (0..100).collect();
-        let mut parallel = serial.clone();
-        let expected = ordered_map_mut(&mut serial, Parallelism::Serial, |i, n| {
-            *n ^= 0xF0;
-            *n + i as u64
-        });
-        let got = ordered_map_mut(&mut parallel, Parallelism::Threads(5), |i, n| {
-            *n ^= 0xF0;
-            *n + i as u64
-        });
-        assert_eq!(expected, got);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn for_each_ordered_worker_panics_propagate() {
         let mut items: Vec<i32> = (0..32).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -660,8 +567,9 @@ mod tests {
             Parallelism::Threads(3),
             Parallelism::Auto,
         ] {
+            let gauges = satn_obs::TaskGauges::new();
             let done = Mutex::new(Vec::new());
-            let produced = task_scope(parallelism, |scope| {
+            let produced = task_scope(parallelism, &gauges, |scope| {
                 for task in 0..17 {
                     let done = &done;
                     scope.spawn(move || done.lock().unwrap().push(task));
@@ -679,8 +587,9 @@ mod tests {
     fn task_scope_tasks_run_while_f_is_still_producing() {
         // A task spawned first can complete (and unblock `f`) before `f`
         // returns: `f` waits on a channel that only the task feeds.
+        let gauges = satn_obs::TaskGauges::new();
         let (sender, receiver) = mpsc::channel();
-        task_scope(Parallelism::Serial, |scope| {
+        task_scope(Parallelism::Serial, &gauges, |scope| {
             scope.spawn(move || sender.send(42u32).unwrap());
             assert_eq!(receiver.recv().unwrap(), 42);
         });
@@ -690,7 +599,8 @@ mod tests {
     fn task_scope_tasks_borrow_the_environment() {
         let words = ["rotor".to_owned(), "walk".to_owned()];
         let lengths = Mutex::new(0usize);
-        task_scope(Parallelism::Threads(2), |scope| {
+        let gauges = satn_obs::TaskGauges::new();
+        task_scope(Parallelism::Threads(2), &gauges, |scope| {
             for word in &words {
                 let lengths = &lengths;
                 scope.spawn(move || *lengths.lock().unwrap() += word.len());
@@ -702,7 +612,7 @@ mod tests {
     #[test]
     fn task_scope_gauges_settle_to_the_task_count() {
         let gauges = satn_obs::TaskGauges::new();
-        task_scope_instrumented(Parallelism::Threads(3), Some(&gauges), |scope| {
+        task_scope(Parallelism::Threads(3), &gauges, |scope| {
             for _ in 0..25 {
                 scope.spawn(|| {});
             }
@@ -715,7 +625,8 @@ mod tests {
     #[test]
     fn task_scope_panics_propagate() {
         let result = std::panic::catch_unwind(|| {
-            task_scope(Parallelism::Threads(2), |scope| {
+            let gauges = satn_obs::TaskGauges::new();
+            task_scope(Parallelism::Threads(2), &gauges, |scope| {
                 scope.spawn(|| panic!("boom"));
             })
         });

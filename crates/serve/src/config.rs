@@ -1,32 +1,18 @@
-//! Builder-style engine configuration: every knob of a [`ShardedEngine`]
-//! in one validated value, replacing the positional constructors and
-//! panicking `with_*` chains that grew with the engine.
+//! Builder-style engine configuration: a scenario plus the two knobs that
+//! never change a result, validated in one place.
 
-use crate::engine::ShardedEngine;
+use crate::engine::{ShardedEngine, DEFAULT_DRAIN_THRESHOLD};
 use crate::error::ServeError;
-use satn_core::{AlgorithmKind, SelfAdjustingTree};
 use satn_exec::Parallelism;
 use satn_sim::ShardedScenario;
-use satn_workloads::shard::{HandoverMode, Partition};
-use std::fmt;
 
-/// What the engine's shard trees are built from.
-enum Source {
-    /// A scenario: trees instantiated exactly as its per-shard reference
-    /// scenarios build theirs, the reshard schedule applied online.
-    Scenario(ShardedScenario),
-    /// Pre-built trees over an explicit partition (the "static" mode).
-    Parts {
-        partition: Partition,
-        trees: Vec<Box<dyn SelfAdjustingTree + Send>>,
-    },
-}
-
-/// Builder for [`ShardedEngine`]: collect the configuration — source,
-/// worker budget, drain threshold, reshard recipe — then validate it all at
-/// once in [`ShardedEngineConfig::build`]. Invalid combinations surface as
-/// [`ServeError::InvalidConfig`] values instead of the panics the old
-/// positional constructors raised.
+/// Builder for [`ShardedEngine`]: every engine is built from a
+/// [`ShardedScenario`] — its partition, trees, reshard schedule and
+/// handover mode — so [`ShardedScenario::epoch_replay`] is always its
+/// byte-exact reference. The builder adds only the worker budget and the
+/// drain threshold, neither of which changes any result, and validates it
+/// all at once in [`ShardedEngineConfig::build`]: invalid configurations
+/// surface as [`ServeError::InvalidConfig`] values, never as panics.
 ///
 /// ```
 /// use satn_serve::{Parallelism, ShardedEngineConfig};
@@ -47,40 +33,27 @@ enum Source {
 /// assert_eq!(engine.finish()?.merged.requests(), 2_000);
 /// # Ok::<(), satn_serve::ServeError>(())
 /// ```
+#[derive(Debug)]
 pub struct ShardedEngineConfig {
-    source: Source,
+    scenario: ShardedScenario,
     parallelism: Parallelism,
-    drain_threshold: Option<usize>,
-    resharding: Option<(AlgorithmKind, u64)>,
-    handover: Option<HandoverMode>,
+    drain_threshold: usize,
 }
 
 impl ShardedEngineConfig {
     /// Configures an engine built from a [`ShardedScenario`]: the
     /// scenario's epoch-0 partition, per-shard trees instantiated exactly
     /// as its standalone reference scenarios build theirs (what makes the
-    /// serial replay a byte-exact oracle), and its reshard schedule applied
-    /// online.
+    /// serial replay a byte-exact oracle), its reshard schedule applied
+    /// online, and its `handover` field as the default [`HandoverMode`]
+    /// of every reshard.
+    ///
+    /// [`HandoverMode`]: crate::HandoverMode
     pub fn from_scenario(scenario: &ShardedScenario) -> Self {
-        ShardedEngineConfig::with_source(Source::Scenario(scenario.clone()))
-    }
-
-    /// Configures a **static** engine from a partition and one pre-built
-    /// tree per shard (shard `s`'s tree serves local ids `0..` of
-    /// `partition.owned(s)`). Built this way the engine cannot reshard
-    /// unless a rebuild recipe is supplied via
-    /// [`ShardedEngineConfig::resharding`].
-    pub fn from_parts(partition: Partition, trees: Vec<Box<dyn SelfAdjustingTree + Send>>) -> Self {
-        ShardedEngineConfig::with_source(Source::Parts { partition, trees })
-    }
-
-    fn with_source(source: Source) -> Self {
         ShardedEngineConfig {
-            source,
+            scenario: scenario.clone(),
             parallelism: Parallelism::default(),
-            drain_threshold: None,
-            resharding: None,
-            handover: None,
+            drain_threshold: DEFAULT_DRAIN_THRESHOLD,
         }
     }
 
@@ -99,31 +72,7 @@ impl ShardedEngineConfig {
     /// at [`ShardedEngineConfig::build`].
     #[must_use]
     pub fn drain_threshold(mut self, threshold: usize) -> Self {
-        self.drain_threshold = Some(threshold);
-        self
-    }
-
-    /// Provides (or overrides) the reshard rebuild recipe: the algorithm
-    /// every post-handover tree is re-instantiated with and the base seed
-    /// of the per-`(shard, epoch)` derived seeds. Offline algorithms are
-    /// rejected at [`ShardedEngineConfig::build`]. Scenario-built engines
-    /// of online algorithms already carry their scenario's recipe; this is
-    /// chiefly for [`ShardedEngineConfig::from_parts`] engines.
-    #[must_use]
-    pub fn resharding(mut self, algorithm: AlgorithmKind, seed: u64) -> Self {
-        self.resharding = Some((algorithm, seed));
-        self
-    }
-
-    /// Sets the default [`HandoverMode`] for scheduled and explicit
-    /// reshards (default [`HandoverMode::Cold`]; for scenario-built engines
-    /// this overrides the scenario's own `handover` field). `Warm` carries
-    /// each touched shard's rotor/recency/RNG state across the epoch
-    /// boundary and skips untouched-shard rebuilds entirely; `Reshard`
-    /// ingest frames carry their own mode and bypass this default.
-    #[must_use]
-    pub fn handover(mut self, mode: HandoverMode) -> Self {
-        self.handover = Some(mode);
+        self.drain_threshold = threshold;
         self
     }
 
@@ -131,97 +80,51 @@ impl ShardedEngineConfig {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] for a zero drain threshold, a
-    /// tree/shard count mismatch, or an offline reshard algorithm;
-    /// [`ServeError::Tree`] if a scenario shard's algorithm cannot be
-    /// instantiated; [`ServeError::ReshardUnsupported`] for a scenario
-    /// pairing a reshard schedule with an offline algorithm.
+    /// [`ServeError::InvalidConfig`] for a zero drain threshold or a
+    /// scenario geometry no engine can hold (see
+    /// [`ShardedScenario::checked_universe`]); [`ServeError::Tree`] if a
+    /// shard's algorithm cannot be instantiated;
+    /// [`ServeError::ReshardUnsupported`] for a scenario pairing a reshard
+    /// schedule with an offline algorithm.
     pub fn build(self) -> Result<ShardedEngine, ServeError> {
-        let mut engine = match self.source {
-            Source::Scenario(scenario) => {
-                ShardedEngine::build_from_scenario(&scenario, self.parallelism)?
-            }
-            Source::Parts { partition, trees } => {
-                ShardedEngine::assemble(partition, trees, self.parallelism)?
-            }
-        };
-        if let Some(threshold) = self.drain_threshold {
-            engine.set_drain_threshold(threshold)?;
+        if self.drain_threshold == 0 {
+            return Err(ServeError::InvalidConfig(
+                "the drain threshold must be positive".to_owned(),
+            ));
         }
-        if let Some((algorithm, seed)) = self.resharding {
-            engine.set_resharding(algorithm, seed)?;
-        }
-        if let Some(mode) = self.handover {
-            engine.set_handover(mode);
-        }
-        Ok(engine)
-    }
-}
-
-impl fmt::Debug for ShardedEngineConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let source = match &self.source {
-            Source::Scenario(scenario) => format!("scenario({})", scenario.name()),
-            Source::Parts { partition, .. } => {
-                format!("parts({} shards)", partition.shards())
-            }
-        };
-        f.debug_struct("ShardedEngineConfig")
-            .field("source", &source)
-            .field("parallelism", &self.parallelism)
-            .field("drain_threshold", &self.drain_threshold)
-            .field("resharding", &self.resharding)
-            .field("handover", &self.handover)
-            .finish()
+        self.scenario
+            .checked_universe()
+            .map_err(ServeError::InvalidConfig)?;
+        ShardedEngine::build_from_scenario(&self.scenario, self.parallelism, self.drain_threshold)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use satn_sim::WorkloadSpec;
+    use satn_sim::{AlgorithmKind, WorkloadSpec};
 
-    fn scenario() -> ShardedScenario {
+    fn scenario(shards: u32, shard_levels: u32) -> ShardedScenario {
         ShardedScenario::new(
             AlgorithmKind::RotorPush,
             WorkloadSpec::Zipf { a: 1.7 },
-            3,
-            5,
+            shards,
+            shard_levels,
             600,
             7,
         )
     }
 
-    #[test]
-    fn scenario_and_parts_builders_agree_on_static_runs() {
-        // The two construction paths — a scenario versus its own partition
-        // and freshly instantiated per-shard trees — must produce engines
-        // with byte-identical runs.
-        let scenario = scenario();
-        let mut via_scenario = ShardedEngineConfig::from_scenario(&scenario)
-            .parallelism(Parallelism::Threads(2))
-            .drain_threshold(128)
-            .build()
-            .unwrap();
-        let trees: Vec<_> = scenario
-            .shard_scenarios()
-            .iter()
-            .map(|s| s.instantiate().unwrap())
-            .collect();
-        let mut via_parts = ShardedEngineConfig::from_parts(scenario.partition(), trees)
-            .parallelism(Parallelism::Threads(2))
-            .drain_threshold(128)
-            .build()
-            .unwrap();
-        let requests: Vec<_> = scenario.stream().collect();
-        via_scenario.submit_burst(&requests).unwrap();
-        via_parts.submit_burst(&requests).unwrap();
-        assert_eq!(via_scenario.finish().unwrap(), via_parts.finish().unwrap());
+    fn rejection(scenario: &ShardedScenario) -> String {
+        match ShardedEngineConfig::from_scenario(scenario).build() {
+            Err(ServeError::InvalidConfig(reason)) => reason,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]
     fn zero_drain_thresholds_are_invalid_config() {
-        let err = ShardedEngineConfig::from_scenario(&scenario())
+        let err = ShardedEngineConfig::from_scenario(&scenario(3, 5))
             .drain_threshold(0)
             .build()
             .unwrap_err();
@@ -230,67 +133,33 @@ mod tests {
     }
 
     #[test]
-    fn tree_count_mismatches_are_invalid_config() {
-        let scenario = scenario();
-        let mut trees: Vec<_> = scenario
-            .shard_scenarios()
-            .iter()
-            .map(|s| s.instantiate().unwrap())
-            .collect();
-        trees.pop();
-        let err = ShardedEngineConfig::from_parts(scenario.partition(), trees)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ServeError::InvalidConfig(_)));
-        assert!(err.to_string().contains("one tree per shard"));
+    fn zero_shards_are_invalid_config() {
+        assert!(rejection(&scenario(0, 5)).contains("at least one shard"));
     }
 
     #[test]
-    fn offline_reshard_recipes_are_invalid_config() {
-        let err = ShardedEngineConfig::from_scenario(&scenario())
-            .resharding(AlgorithmKind::StaticOpt, 7)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ServeError::InvalidConfig(_)));
-        assert!(err.to_string().contains("offline"));
+    fn levels_beyond_a_u32_tree_are_invalid_config() {
+        // Release builds mask the shift amount: 40 levels would silently
+        // build 255-element shards.
+        assert!(rejection(&scenario(4, 40)).contains("1..=31"));
+        // 32 levels wrap the per-shard capacity to zero, an empty universe
+        // `Partition::new` panics on.
+        assert!(rejection(&scenario(3, 32)).contains("1..=31"));
+        assert!(rejection(&scenario(4, 0)).contains("1..=31"));
     }
 
     #[test]
-    fn parts_engines_gain_resharding_through_the_builder() {
-        let scenario = scenario();
-        let trees: Vec<_> = scenario
-            .shard_scenarios()
-            .iter()
-            .map(|s| s.instantiate().unwrap())
-            .collect();
-        let mut engine = ShardedEngineConfig::from_parts(scenario.partition(), trees)
-            .parallelism(Parallelism::Serial)
-            .resharding(AlgorithmKind::RotorPush, scenario.seed)
-            .build()
-            .unwrap();
-        engine
-            .reshard(satn_workloads::shard::ReshardPlan::new([(
-                satn_tree::ElementId::new(0),
-                1,
-            )]))
-            .unwrap();
-        assert_eq!(engine.epoch(), 1);
+    fn universes_overflowing_u32_are_invalid_config() {
+        // 4 × (2^31 − 1) wraps to a universe whose per-shard trees no
+        // longer fit it, and the process aborts on a 17 GB allocation.
+        assert!(rejection(&scenario(4, 31)).contains("overflows"));
     }
 
     #[test]
-    fn the_builder_overrides_the_scenario_handover_mode() {
-        let engine = ShardedEngineConfig::from_scenario(&scenario())
-            .handover(HandoverMode::Warm)
-            .build()
-            .unwrap();
-        assert_eq!(engine.handover(), HandoverMode::Warm);
-    }
-
-    #[test]
-    fn debug_output_names_the_source() {
-        let config = ShardedEngineConfig::from_scenario(&scenario()).drain_threshold(64);
+    fn debug_output_names_the_scenario() {
+        let config = ShardedEngineConfig::from_scenario(&scenario(3, 5)).drain_threshold(64);
         let rendered = format!("{config:?}");
-        assert!(rendered.contains("scenario("));
+        assert!(rendered.contains("scenario"));
         assert!(rendered.contains("drain_threshold"));
     }
 }

@@ -24,6 +24,9 @@ use std::time::Instant;
 /// Pending requests buffered across all shards before an automatic drain.
 pub const DEFAULT_DRAIN_THRESHOLD: usize = 4_096;
 
+/// Why an engine of an offline algorithm has no rebuild recipe.
+const OFFLINE_REBUILD: &str = "offline algorithms cannot be rebuilt mid-stream";
+
 /// One shard: its tree plus the batch of localized requests accumulated for
 /// the next drain.
 struct Shard {
@@ -117,6 +120,9 @@ pub struct ShardedEngine {
     accounting: ShardedCostSummary,
     parallelism: Parallelism,
     control: DrainControl,
+    /// The algorithm every post-handover tree is re-instantiated with and
+    /// the base seed of its per-`(shard, epoch)` derived seeds; `None` only
+    /// for offline algorithms, which cannot reshard.
     rebuild: Option<(AlgorithmKind, u64)>,
     /// How scheduled and explicit reshards hand state across the epoch
     /// boundary: `Cold` rebuilds every shard tree from scratch, `Warm`
@@ -146,71 +152,28 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// The non-panicking constructor behind
-    /// [`ShardedEngineConfig::from_parts`](crate::ShardedEngineConfig::from_parts):
-    /// a **static** engine from a partition and one pre-built tree per shard
-    /// (shard `s`'s tree serves local ids `0..` of `partition.owned(s)`).
-    /// Built this way the engine cannot reshard — arbitrary pre-built trees
-    /// carry no rebuild recipe.
-    pub(crate) fn assemble(
-        partition: Partition,
-        trees: Vec<Box<dyn SelfAdjustingTree + Send>>,
-        parallelism: Parallelism,
-    ) -> Result<Self, ServeError> {
-        if trees.len() as u32 != partition.shards() {
-            return Err(ServeError::InvalidConfig(format!(
-                "one tree per shard is required ({} trees for {} shards)",
-                trees.len(),
-                partition.shards()
-            )));
-        }
-        let shards: Vec<Shard> = trees
-            .into_iter()
-            .map(|tree| Shard {
-                tree,
-                pending: Vec::new(),
-            })
-            .collect();
-        let accounting = ShardedCostSummary::new(partition.shards());
-        let metrics = Arc::new(EngineMetrics::new(partition.shards()));
-        Ok(ShardedEngine {
-            log: EpochedPartition::from_partition(partition),
-            shards,
-            accounting,
-            parallelism,
-            control: DrainControl::new(DEFAULT_DRAIN_THRESHOLD),
-            rebuild: None,
-            handover: HandoverMode::Cold,
-            schedule: OnlineSchedule::External,
-            epoch_fingerprints: Vec::new(),
-            boundaries: Vec::new(),
-            hub: None,
-            partition_cache: None,
-            metrics,
-            tracer: Arc::new(TraceRing::with_default_capacity()),
-        })
-    }
-
     /// The construction behind
-    /// [`ShardedEngineConfig::from_scenario`](crate::ShardedEngineConfig::from_scenario):
-    /// the scenario's epoch-0 partition, with every shard tree instantiated
-    /// exactly as the scenario's standalone per-shard reference scenarios
-    /// build theirs (same levels, same derived seeds, same initial placement
-    /// — that is what makes the serial replay a byte-exact oracle). The
-    /// scenario's [`ReshardSchedule`] is applied online: manual events fire
-    /// at their stream positions, a policy observes the routed stream at its
-    /// cadence — both reproducing the schedule
-    /// [`ShardedScenario::epoch_log`] derives offline.
+    /// [`ShardedEngineConfig::build`](crate::ShardedEngineConfig::build),
+    /// for a scenario whose geometry it already validated: the scenario's
+    /// epoch-0 partition, with every shard tree instantiated exactly as the
+    /// scenario's standalone per-shard reference scenarios build theirs
+    /// (same levels, same derived seeds, same initial placement — that is
+    /// what makes the serial replay a byte-exact oracle). The scenario's
+    /// [`ReshardSchedule`] is applied online: manual events fire at their
+    /// stream positions, a policy observes the routed stream at its cadence
+    /// — both reproducing the schedule [`ShardedScenario::epoch_log`]
+    /// derives offline.
     pub(crate) fn build_from_scenario(
         scenario: &ShardedScenario,
         parallelism: Parallelism,
+        drain_threshold: usize,
     ) -> Result<Self, ServeError> {
         let offline = scenario.algorithm == AlgorithmKind::StaticOpt;
         let schedule = match &scenario.reshard {
             ReshardSchedule::Static => OnlineSchedule::External,
             _ if offline => {
                 return Err(ServeError::ReshardUnsupported {
-                    reason: "offline algorithms cannot be rebuilt mid-stream",
+                    reason: OFFLINE_REBUILD,
                 })
             }
             ReshardSchedule::Manual(events) => {
@@ -221,7 +184,7 @@ impl ShardedEngine {
             }
         };
         let partition = scenario.partition();
-        let mut trees = Vec::with_capacity(partition.shards() as usize);
+        let mut shards = Vec::with_capacity(partition.shards() as usize);
         for (shard, shard_scenario) in scenario.shard_scenarios().iter().enumerate() {
             // `instantiate` hands offline algorithms their per-shard
             // sequence itself (the scenario's Fixed workload carries it).
@@ -231,59 +194,27 @@ impl ShardedEngine {
                     shard: shard as u32,
                     error,
                 })?;
-            trees.push(tree);
+            shards.push(Shard {
+                tree,
+                pending: Vec::new(),
+            });
         }
-        let mut engine = ShardedEngine::assemble(partition, trees, parallelism)?;
-        engine.rebuild = (!offline).then_some((scenario.algorithm, scenario.seed));
-        engine.handover = scenario.handover;
-        engine.schedule = schedule;
-        Ok(engine)
-    }
-
-    /// The validated setter behind
-    /// [`ShardedEngineConfig::resharding`](crate::ShardedEngineConfig::resharding):
-    /// the rebuild recipe a raw-tree engine needs to reshard — the algorithm
-    /// every post-handover tree is re-instantiated with, and the base seed
-    /// of the per-`(shard, epoch)` derived seeds.
-    pub(crate) fn set_resharding(
-        &mut self,
-        algorithm: AlgorithmKind,
-        seed: u64,
-    ) -> Result<(), ServeError> {
-        if algorithm == AlgorithmKind::StaticOpt {
-            return Err(ServeError::InvalidConfig(
-                "offline algorithms cannot be rebuilt mid-stream".to_owned(),
-            ));
-        }
-        self.rebuild = Some((algorithm, seed));
-        Ok(())
-    }
-
-    /// The setter behind
-    /// [`ShardedEngineConfig::handover`](crate::ShardedEngineConfig::handover):
-    /// the default [`HandoverMode`] for scheduled and explicit reshards
-    /// (`Reshard` ingest frames carry their own mode).
-    pub(crate) fn set_handover(&mut self, mode: HandoverMode) {
-        self.handover = mode;
-    }
-
-    /// The engine's default [`HandoverMode`].
-    pub fn handover(&self) -> HandoverMode {
-        self.handover
-    }
-
-    /// The validated setter behind
-    /// [`ShardedEngineConfig::drain_threshold`](crate::ShardedEngineConfig::drain_threshold).
-    /// The cadence never changes any result — only how much is buffered
-    /// between drains.
-    pub(crate) fn set_drain_threshold(&mut self, threshold: usize) -> Result<(), ServeError> {
-        if threshold == 0 {
-            return Err(ServeError::InvalidConfig(
-                "the drain threshold must be positive".to_owned(),
-            ));
-        }
-        self.control.set_threshold(threshold);
-        Ok(())
+        Ok(ShardedEngine {
+            accounting: ShardedCostSummary::new(partition.shards()),
+            metrics: Arc::new(EngineMetrics::new(partition.shards())),
+            log: EpochedPartition::from_partition(partition),
+            shards,
+            parallelism,
+            control: DrainControl::new(drain_threshold),
+            rebuild: (!offline).then_some((scenario.algorithm, scenario.seed)),
+            handover: scenario.handover,
+            schedule,
+            epoch_fingerprints: Vec::new(),
+            boundaries: Vec::new(),
+            hub: None,
+            partition_cache: None,
+            tracer: Arc::new(TraceRing::with_default_capacity()),
+        })
     }
 
     /// The engine's current element-to-shard assignment.
@@ -540,8 +471,8 @@ impl ShardedEngine {
     ///
     /// # Errors
     ///
-    /// [`ServeError::ReshardUnsupported`] if the engine has no rebuild
-    /// recipe, [`ServeError::Reshard`] if the plan does not fit the
+    /// [`ServeError::ReshardUnsupported`] if the engine's algorithm is
+    /// offline, [`ServeError::Reshard`] if the plan does not fit the
     /// partition (the engine is unchanged beyond the drain fence),
     /// [`ServeError::Handover`] if the handover produced a placement no
     /// shard tree can be rebuilt from, or a drain/rebuild error.
@@ -552,7 +483,7 @@ impl ShardedEngine {
     ) -> Result<(), ServeError> {
         let Some((kind, base_seed)) = self.rebuild else {
             return Err(ServeError::ReshardUnsupported {
-                reason: "the engine was built from raw trees without a rebuild recipe",
+                reason: OFFLINE_REBUILD,
             });
         };
         let planned_moves = plan.moves().len() as u64;
@@ -880,7 +811,7 @@ impl EngineReport {
 mod tests {
     use super::*;
     use crate::config::ShardedEngineConfig;
-    use crate::ingest::ingest_channel;
+    use crate::ingest::ingest_channel_with_metrics;
     use satn_sim::{AlgorithmKind, ShardRouter, SimRunner, WorkloadSpec};
 
     fn scenario(algorithm: AlgorithmKind, router: ShardRouter) -> ShardedScenario {
@@ -971,7 +902,7 @@ mod tests {
         let direct_report = direct.finish().unwrap();
 
         let mut queued = engine(&sharded, Parallelism::Threads(2));
-        let (sender, queue) = ingest_channel(8);
+        let (sender, queue) = ingest_channel_with_metrics(8, Arc::clone(queued.metrics()));
         let requests: Vec<ElementId> = sharded.stream().collect();
         let producer = std::thread::spawn(move || {
             for chunk in requests.chunks(97) {
@@ -1019,46 +950,20 @@ mod tests {
     }
 
     #[test]
-    fn raw_tree_engines_cannot_reshard_without_a_recipe() {
-        let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Hash);
-        let partition = sharded.partition();
-        let trees: Vec<_> = sharded
-            .shard_scenarios()
-            .iter()
-            .map(|s| s.instantiate().unwrap())
-            .collect();
-        let mut engine = ShardedEngineConfig::from_parts(partition, trees)
-            .parallelism(Parallelism::Serial)
-            .build()
-            .unwrap();
+    fn offline_scenario_engines_reject_explicit_reshards() {
+        let sharded = scenario(AlgorithmKind::StaticOpt, ShardRouter::Hash);
+        let mut engine = engine(&sharded, Parallelism::Serial);
         let err = engine
             .reshard(ReshardPlan::new([(ElementId::new(0), 1)]))
             .unwrap_err();
         assert!(matches!(err, ServeError::ReshardUnsupported { .. }));
         assert!(err.to_string().contains("cannot reshard"));
         assert_eq!(engine.epoch(), 0);
-    }
-
-    #[test]
-    fn raw_tree_engines_reshard_with_a_recipe() {
-        let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Hash);
-        let partition = sharded.partition();
-        let trees: Vec<_> = sharded
-            .shard_scenarios()
-            .iter()
-            .map(|s| s.instantiate().unwrap())
-            .collect();
-        let mut engine = ShardedEngineConfig::from_parts(partition, trees)
-            .parallelism(Parallelism::Serial)
-            .resharding(AlgorithmKind::RotorPush, sharded.seed)
-            .build()
-            .unwrap();
+        // The rejected reshard leaves the engine serving its scenario.
         engine
-            .reshard(ReshardPlan::new([(ElementId::new(0), 1)]))
+            .submit_burst(&sharded.stream().collect::<Vec<_>>())
             .unwrap();
-        assert_eq!(engine.epoch(), 1);
-        assert_eq!(engine.partition().shard_of(ElementId::new(0)), Some(1));
-        assert_eq!(engine.accounting().migration_total().moved, 1);
+        assert_eq!(engine.finish().unwrap().requests, 3_000);
     }
 
     #[test]

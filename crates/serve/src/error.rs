@@ -48,10 +48,9 @@ pub enum ServeError {
         /// What was wrong with the placement.
         reason: String,
     },
-    /// The engine cannot reshard: it was assembled without rebuild
-    /// information (raw trees instead of a scenario) or its algorithm is
-    /// offline (Static-Opt computes its layout from the whole future
-    /// subsequence, which no online handover can know).
+    /// The engine cannot reshard: its algorithm is offline (Static-Opt
+    /// computes its layout from the whole future subsequence, which no
+    /// online handover can know).
     ReshardUnsupported {
         /// Why resharding is unavailable.
         reason: &'static str,
@@ -59,9 +58,6 @@ pub enum ServeError {
     /// A lookup was issued on an ingest handle that has no snapshot reader
     /// attached — the transport can carry writes but not reads.
     LookupUnsupported,
-    /// A stats poll was issued on an ingest handle that has no metrics
-    /// registry attached.
-    StatsUnsupported,
     /// The ingestion peer is gone: the queue consumer was dropped (channel
     /// transport) or the connection was shut down (network transport).
     Closed,
@@ -129,9 +125,6 @@ impl fmt::Display for ServeError {
             ServeError::LookupUnsupported => {
                 f.write_str("this ingest handle has no snapshot reader to serve lookups")
             }
-            ServeError::StatsUnsupported => {
-                f.write_str("this ingest handle has no metrics registry to serve stats")
-            }
             ServeError::Closed => f.write_str("the ingest peer is gone"),
             ServeError::Io(error) => write!(f, "transport: {error}"),
             ServeError::Protocol(error) => write!(f, "protocol: {error}"),
@@ -152,7 +145,6 @@ impl std::error::Error for ServeError {
             ServeError::Handover { .. } => None,
             ServeError::ReshardUnsupported { .. } => None,
             ServeError::LookupUnsupported => None,
-            ServeError::StatsUnsupported => None,
             ServeError::Closed => None,
             ServeError::Io(error) => Some(error),
             ServeError::Protocol(error) => Some(error),

@@ -112,8 +112,7 @@ pub trait Ingest {
     ///
     /// # Errors
     ///
-    /// [`ServeError::StatsUnsupported`] if this handle has no metrics
-    /// registry attached, plus the transport errors of [`Ingest::send`].
+    /// The transport errors of [`Ingest::send`].
     fn stats(&mut self) -> Result<MetricsSnapshot, ServeError>;
 }
 
@@ -150,9 +149,9 @@ pub fn replay<I: Ingest + ?Sized>(
 }
 
 /// The in-process producer half: cloneable, blocking on a full queue
-/// (backpressure).
+/// (backpressure), and always metered into its channel's registry.
 ///
-/// A plain sender carries only the write verbs; attach a
+/// A plain sender carries the write verbs and [`Ingest::stats`]; attach a
 /// [`SnapshotReader`] with [`IngestSender::with_snapshots`] to serve
 /// [`Ingest::lookup`] as well (each clone of the sender gets its own
 /// independently cached read handle).
@@ -160,7 +159,7 @@ pub fn replay<I: Ingest + ?Sized>(
 pub struct IngestSender {
     inner: mpsc::SyncSender<IngestMessage>,
     snapshots: Option<SnapshotReader>,
-    metrics: Option<Arc<EngineMetrics>>,
+    metrics: Arc<EngineMetrics>,
 }
 
 impl IngestSender {
@@ -172,11 +171,10 @@ impl IngestSender {
         self
     }
 
-    /// The attached metrics registry, if the channel was built with
-    /// [`ingest_channel_with_metrics`]. The network layer uses this to reach
-    /// the engine's registry through the sender it already holds.
-    pub fn metrics(&self) -> Option<&Arc<EngineMetrics>> {
-        self.metrics.as_ref()
+    /// The channel's metrics registry. The network layer uses this to
+    /// reach the engine's registry through the sender it already holds.
+    pub fn metrics(&self) -> &Arc<EngineMetrics> {
+        &self.metrics
     }
 
     /// Enqueues one protocol message, blocking while the queue is full.
@@ -188,13 +186,9 @@ impl IngestSender {
         // Count before the (possibly blocking) send so the gauge includes
         // the message a blocked producer is holding at the door; undo on a
         // closed queue, whose messages never became visible to anyone.
-        if let Some(metrics) = &self.metrics {
-            metrics.ingest_queue_depth.inc();
-        }
+        self.metrics.ingest_queue_depth.inc();
         self.inner.send(message).map_err(|_| {
-            if let Some(metrics) = &self.metrics {
-                metrics.ingest_queue_depth.dec();
-            }
+            self.metrics.ingest_queue_depth.dec();
             ServeError::Closed
         })
     }
@@ -258,17 +252,10 @@ impl IngestSender {
             .ok_or(ServeError::OutOfUniverse { element, universe })
     }
 
-    /// Freezes the attached metrics registry into a snapshot — never touches
-    /// the queue, never blocks on the engine.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::StatsUnsupported`] without an attached registry.
-    pub fn stats(&self) -> Result<MetricsSnapshot, ServeError> {
-        self.metrics
-            .as_ref()
-            .map(|metrics| metrics.snapshot())
-            .ok_or(ServeError::StatsUnsupported)
+    /// Freezes the channel's metrics registry into a snapshot — never
+    /// touches the queue, never blocks on the engine.
+    pub fn stats(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
     }
 }
 
@@ -294,7 +281,7 @@ impl Ingest for IngestSender {
     }
 
     fn stats(&mut self) -> Result<MetricsSnapshot, ServeError> {
-        IngestSender::stats(self)
+        Ok(IngestSender::stats(self))
     }
 }
 
@@ -302,7 +289,7 @@ impl Ingest for IngestSender {
 #[derive(Debug)]
 pub struct IngestQueue {
     inner: mpsc::Receiver<IngestMessage>,
-    metrics: Option<Arc<EngineMetrics>>,
+    metrics: Arc<EngineMetrics>,
 }
 
 impl IngestQueue {
@@ -311,45 +298,28 @@ impl IngestQueue {
     pub fn recv(&self) -> Option<IngestMessage> {
         let message = self.inner.recv().ok();
         if message.is_some() {
-            if let Some(metrics) = &self.metrics {
-                metrics.ingest_queue_depth.dec();
-            }
+            self.metrics.ingest_queue_depth.dec();
         }
         message
     }
 }
 
 /// Creates a bounded ingestion channel holding at most `capacity` queued
-/// messages (bursts count as one message each).
+/// messages (bursts count as one message each), metered into `metrics`:
+/// senders maintain the registry's `ingest_queue_depth` gauge (incremented
+/// on enqueue, decremented on dequeue — both halves share the registry, so
+/// the gauge cannot drift) and answer [`Ingest::stats`] with registry
+/// snapshots. Pass the engine's own
+/// [`ShardedEngine::metrics`](crate::ShardedEngine::metrics) `Arc` so
+/// channel and engine report into one registry.
 ///
 /// # Panics
 ///
 /// Panics if `capacity` is zero (a zero-capacity rendezvous channel would
 /// deadlock single-threaded producers).
-pub fn ingest_channel(capacity: usize) -> (IngestSender, IngestQueue) {
-    build_channel(capacity, None)
-}
-
-/// [`ingest_channel`] wired into a metrics registry: senders maintain the
-/// registry's `ingest_queue_depth` gauge (incremented on enqueue, decremented
-/// on dequeue — both halves installed together, so the gauge cannot drift)
-/// and answer [`Ingest::stats`] with registry snapshots. Pass the engine's
-/// own [`ShardedEngine::metrics`](crate::ShardedEngine::metrics) `Arc` so
-/// channel and engine report into one registry.
-///
-/// # Panics
-///
-/// Panics if `capacity` is zero, like [`ingest_channel`].
 pub fn ingest_channel_with_metrics(
     capacity: usize,
     metrics: Arc<EngineMetrics>,
-) -> (IngestSender, IngestQueue) {
-    build_channel(capacity, Some(metrics))
-}
-
-fn build_channel(
-    capacity: usize,
-    metrics: Option<Arc<EngineMetrics>>,
 ) -> (IngestSender, IngestQueue) {
     assert!(capacity > 0, "the ingest queue capacity must be positive");
     let (sender, receiver) = mpsc::sync_channel(capacity);
@@ -357,7 +327,7 @@ fn build_channel(
         IngestSender {
             inner: sender,
             snapshots: None,
-            metrics: metrics.clone(),
+            metrics: Arc::clone(&metrics),
         },
         IngestQueue {
             inner: receiver,
@@ -370,9 +340,13 @@ fn build_channel(
 mod tests {
     use super::*;
 
+    fn channel(capacity: usize) -> (IngestSender, IngestQueue) {
+        ingest_channel_with_metrics(capacity, Arc::new(EngineMetrics::new(1)))
+    }
+
     #[test]
     fn messages_arrive_in_send_order() {
-        let (sender, queue) = ingest_channel(16);
+        let (sender, queue) = channel(16);
         sender.send(ElementId::new(1)).unwrap();
         sender
             .send_burst(vec![ElementId::new(2), ElementId::new(3)])
@@ -396,7 +370,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_applies_backpressure() {
-        let (sender, queue) = ingest_channel(1);
+        let (sender, queue) = channel(1);
         sender.send(ElementId::new(0)).unwrap();
         // The queue is full: a second send must block until the consumer
         // makes room. Run it on a helper thread and unblock it by receiving.
@@ -412,7 +386,7 @@ mod tests {
 
     #[test]
     fn sending_into_a_dropped_queue_errors() {
-        let (sender, queue) = ingest_channel(4);
+        let (sender, queue) = channel(4);
         drop(queue);
         let err = sender.send(ElementId::new(0)).unwrap_err();
         assert!(matches!(err, ServeError::Closed));
@@ -424,12 +398,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be positive")]
     fn zero_capacity_is_rejected() {
-        ingest_channel(0);
+        channel(0);
     }
 
     #[test]
     fn the_trait_and_inherent_methods_agree() {
-        let (mut sender, queue) = ingest_channel(8);
+        let (mut sender, queue) = channel(8);
         let ingest: &mut dyn Ingest = &mut sender;
         ingest.send(ElementId::new(7)).unwrap();
         ingest
@@ -464,18 +438,10 @@ mod tests {
 
     #[test]
     fn lookups_without_a_reader_are_unsupported_not_silent() {
-        let (mut sender, _queue) = ingest_channel(4);
+        let (mut sender, _queue) = channel(4);
         let err = Ingest::lookup(&mut sender, ElementId::new(0)).unwrap_err();
         assert!(matches!(err, ServeError::LookupUnsupported));
         assert!(err.to_string().contains("snapshot reader"));
-    }
-
-    #[test]
-    fn stats_without_a_registry_are_unsupported_not_silent() {
-        let (mut sender, _queue) = ingest_channel(4);
-        let err = Ingest::stats(&mut sender).unwrap_err();
-        assert!(matches!(err, ServeError::StatsUnsupported));
-        assert!(err.to_string().contains("metrics"));
     }
 
     #[test]
@@ -501,7 +467,7 @@ mod tests {
 
     #[test]
     fn replay_chunks_the_stream_into_bursts() {
-        let (mut sender, queue) = ingest_channel(8);
+        let (mut sender, queue) = channel(8);
         let stream: Vec<ElementId> = (0..7).map(ElementId::new).collect();
         replay(&mut sender, stream, 3).unwrap();
         drop(sender);

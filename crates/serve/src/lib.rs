@@ -36,16 +36,18 @@
 //!   `satn-network`: source-affinity routing groups each source's ego-tree
 //!   onto one shard,
 //! * [`Ingest`] — the transport-agnostic ingestion trait (`send`,
-//!   `send_burst`, `flush`, `reshard`, `lookup`), implemented by both the
-//!   in-process [`IngestSender`] and the TCP client [`TcpIngest`]; code
-//!   written against it runs identically over either transport,
+//!   `send_burst`, `flush`, `reshard`, `lookup`, `stats`), implemented by
+//!   both the in-process [`IngestSender`] and the TCP client [`TcpIngest`];
+//!   code written against it runs identically over either transport,
 //! * [`ShardedEngine::snapshots`] / [`SnapshotReader`] — the lock-free
 //!   **read phase**: every drain boundary atomically publishes an immutable
 //!   [`EngineSnapshot`] (epoch partition + one frozen
 //!   [`TreeSnapshot`](satn_tree::TreeSnapshot) per shard) that any number
 //!   of reader handles serve lookups from without touching the write path,
-//! * [`ingest_channel`] / [`IngestQueue`] — the bounded channel-based
-//!   ingestion layer with backpressure and a drain/flush/reshard protocol,
+//! * [`ingest_channel_with_metrics`] / [`IngestQueue`] — the bounded
+//!   channel-based ingestion layer with backpressure and a
+//!   drain/flush/reshard protocol, always metered into the engine's
+//!   registry,
 //! * [`wire`](crate::Frame) / [`serve_connections`] — the length-prefixed
 //!   binary wire protocol and the server-side accept loop behind the
 //!   `satnd` binary, carrying the same protocol over TCP with per-frame
@@ -56,8 +58,10 @@
 //!   [`MetricsSnapshot`] equals its serial-replay total), a bounded ring
 //!   of deterministic reshard-handover and drain trace stamps, and a
 //!   `Stats`/`StatsReply` wire frame pair polling it all over TCP,
-//! * [`ShardedEngineConfig`] — the builder-style engine configuration,
-//!   validating every knob at [`ShardedEngineConfig::build`],
+//! * [`ShardedEngineConfig`] — the one way to build an engine: a
+//!   [`ShardedScenario`] plus a worker budget and a drain threshold, all
+//!   validated at [`ShardedEngineConfig::build`] — so every engine has the
+//!   scenario's serial replay as its byte-exact reference,
 //! * [`EngineReport`] — per-shard cost summaries, per-epoch sub-summaries
 //!   with explicit [`MigrationCost`] terms, and occupancy **fingerprints**
 //!   at every epoch boundary.
@@ -120,8 +124,7 @@ pub use ego::{SourceShardedEngine, SourceShardedReport};
 pub use engine::{EngineReport, ShardReport, ShardedEngine, DEFAULT_DRAIN_THRESHOLD};
 pub use error::ServeError;
 pub use ingest::{
-    ingest_channel, ingest_channel_with_metrics, replay, Ingest, IngestMessage, IngestQueue,
-    IngestSender,
+    ingest_channel_with_metrics, replay, Ingest, IngestMessage, IngestQueue, IngestSender,
 };
 pub use net::{serve_connections, ConnectionReport, TcpIngest, DEFAULT_WINDOW};
 pub use snapshot::{EngineSnapshot, LookupAnswer, SnapshotReader};

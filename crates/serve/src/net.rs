@@ -43,7 +43,7 @@ use crate::error::ServeError;
 use crate::ingest::{Ingest, IngestMessage, IngestSender};
 use crate::snapshot::{LookupAnswer, SnapshotReader};
 use crate::wire::{read_frame, write_frame, Frame, WireError, MAX_BURST_ELEMENTS};
-use satn_exec::{task_scope_instrumented, Parallelism};
+use satn_exec::{task_scope, Parallelism};
 use satn_obs::MetricsSnapshot;
 use satn_tree::ElementId;
 use satn_workloads::shard::{HandoverMode, ReshardPlan};
@@ -317,7 +317,7 @@ fn serve_connection(
     sender: &IngestSender,
     mut reads: Option<SnapshotReader>,
 ) -> (u64, u64, Option<ServeError>) {
-    let metrics = sender.metrics().cloned();
+    let metrics = sender.metrics();
     let mut frames = 0u64;
     let mut lookups = 0u64;
     let mut error = None;
@@ -328,10 +328,8 @@ fn serve_connection(
         let mut read_scratch = Vec::new();
         let mut write_scratch = Vec::new();
         while let Some(frame) = read_frame(&mut reader, &mut read_scratch)? {
-            if let Some(metrics) = &metrics {
-                // The body sits in `read_scratch`; the length prefix adds 4.
-                metrics.note_wire_frame(frame.tag(), read_scratch.len() + 4);
-            }
+            // The body sits in `read_scratch`; the length prefix adds 4.
+            metrics.note_wire_frame(frame.tag(), read_scratch.len() + 4);
             let reply = match frame {
                 Frame::Ingest(message) => {
                     sender.send_message(message)?;
@@ -347,10 +345,7 @@ fn serve_connection(
                     lookups += 1;
                     Frame::Found(answer)
                 }
-                Frame::Stats => {
-                    let metrics = metrics.as_ref().ok_or(ServeError::StatsUnsupported)?;
-                    Frame::StatsReply(metrics.snapshot())
-                }
+                Frame::Stats => Frame::StatsReply(metrics.snapshot()),
                 Frame::Ack { .. } | Frame::Found(_) | Frame::StatsReply(_) => {
                     return Err(WireError::Malformed {
                         reason: "clients may not send server reply frames",
@@ -359,10 +354,8 @@ fn serve_connection(
                 }
             };
             write_frame(&mut writer, &reply, &mut write_scratch)?;
-            if let Some(metrics) = &metrics {
-                // `write_scratch` holds the full encoding, prefix included.
-                metrics.note_wire_frame(reply.tag(), write_scratch.len());
-            }
+            // `write_scratch` holds the full encoding, prefix included.
+            metrics.note_wire_frame(reply.tag(), write_scratch.len());
         }
         Ok(())
     })();
@@ -386,10 +379,10 @@ fn record_report(reports: &Mutex<Vec<ConnectionReport>>, report: ConnectionRepor
 }
 
 /// The server-side accept loop: accepts exactly `connections` connections
-/// from `listener` and serves each on the scoped [`task_scope_instrumented`]
-/// pool with up to `parallelism` concurrent connection workers (feeding the
-/// engine's pool gauges when the sender carries a registry), forwarding every
-/// decoded ingest frame into `sender`'s bounded channel. When `reads` is
+/// from `listener` and serves each on the scoped [`task_scope`] pool with up
+/// to `parallelism` concurrent connection workers (feeding the pool gauges
+/// of `sender`'s registry), forwarding every decoded ingest frame into
+/// `sender`'s bounded channel. When `reads` is
 /// given, each worker gets its own clone of the [`SnapshotReader`] and
 /// answers `Lookup` frames lock-free from the engine's published snapshot;
 /// without it, a lookup closes its connection with
@@ -415,26 +408,18 @@ pub fn serve_connections(
 ) -> Result<Vec<ConnectionReport>, ServeError> {
     let reports: Mutex<Vec<ConnectionReport>> = Mutex::new(Vec::with_capacity(connections));
     let metrics = sender.metrics();
-    let pool = metrics.map(|metrics| &metrics.pool);
-    task_scope_instrumented(parallelism, pool, |scope| -> Result<(), ServeError> {
+    task_scope(parallelism, &metrics.pool, |scope| {
         for connection in 0..connections as u64 {
             let (stream, _peer) = listener.accept()?;
-            if let Some(metrics) = metrics {
-                metrics.connections_total.inc();
-            }
+            metrics.connections_total.inc();
             let sender = sender.clone();
             // Each worker reads through its own independently cached handle.
             let reads = reads.cloned();
             let reports = &reports;
             scope.spawn(move || {
-                let metrics = sender.metrics().cloned();
-                if let Some(metrics) = &metrics {
-                    metrics.connections_active.inc();
-                }
+                sender.metrics().connections_active.inc();
                 let (frames, lookups, error) = serve_connection(&stream, &sender, reads);
-                if let Some(metrics) = &metrics {
-                    metrics.connections_active.dec();
-                }
+                sender.metrics().connections_active.dec();
                 record_report(
                     reports,
                     ConnectionReport {
@@ -446,7 +431,7 @@ pub fn serve_connections(
                 );
             });
         }
-        Ok(())
+        Ok::<(), ServeError>(())
     })?;
     let mut reports = reports.into_inner().unwrap_or_else(PoisonError::into_inner);
     reports.sort_unstable_by_key(|report| report.connection);
@@ -456,8 +441,14 @@ pub fn serve_connections(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::ingest_channel;
+    use crate::ingest::ingest_channel_with_metrics;
+    use satn_obs::EngineMetrics;
     use std::net::{Ipv4Addr, SocketAddr};
+    use std::sync::Arc;
+
+    fn channel(capacity: usize) -> (IngestSender, crate::IngestQueue) {
+        ingest_channel_with_metrics(capacity, Arc::new(EngineMetrics::new(1)))
+    }
 
     fn loopback_listener() -> (TcpListener, SocketAddr) {
         let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
@@ -468,7 +459,7 @@ mod tests {
     #[test]
     fn frames_cross_the_wire_in_order() {
         let (listener, addr) = loopback_listener();
-        let (sender, queue) = ingest_channel(64);
+        let (sender, queue) = channel(64);
         let server = std::thread::spawn(move || {
             serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
         });
@@ -518,7 +509,7 @@ mod tests {
         // already sitting in the queue when the ack arrives, so a recv right
         // after `drain_acks` returns it without any waiting.
         let (listener, addr) = loopback_listener();
-        let (sender, queue) = ingest_channel(1);
+        let (sender, queue) = channel(1);
         let server = std::thread::spawn(move || {
             serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
         });
@@ -551,7 +542,7 @@ mod tests {
     #[test]
     fn lookups_without_a_server_side_reader_close_only_that_connection() {
         let (listener, addr) = loopback_listener();
-        let (sender, queue) = ingest_channel(16);
+        let (sender, queue) = channel(16);
         let server = std::thread::spawn(move || {
             serve_connections(&listener, &sender, None, Parallelism::Serial, 2).unwrap()
         });
@@ -612,9 +603,7 @@ mod tests {
 
     #[test]
     fn stats_polls_cross_the_wire_and_count_traffic() {
-        use crate::ingest::ingest_channel_with_metrics;
-        use satn_obs::{names, EngineMetrics};
-        use std::sync::Arc;
+        use satn_obs::names;
 
         let (listener, addr) = loopback_listener();
         let metrics = Arc::new(EngineMetrics::new(2));
@@ -649,7 +638,7 @@ mod tests {
         // A tiny window forces the split frames to interleave with acks,
         // exercising the windowed path as well as the chunking itself.
         let (listener, addr) = loopback_listener();
-        let (sender, queue) = ingest_channel(64);
+        let (sender, queue) = channel(64);
         let server = std::thread::spawn(move || {
             serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
         });

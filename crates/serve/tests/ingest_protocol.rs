@@ -7,11 +7,12 @@
 
 use satn_core::AlgorithmKind;
 use satn_serve::{
-    ingest_channel, HandoverMode, Ingest, Parallelism, ReshardPlan, ServeError, ShardedEngine,
-    ShardedEngineConfig, ShardedScenario,
+    ingest_channel_with_metrics, EngineMetrics, HandoverMode, Ingest, Parallelism, ReshardPlan,
+    ServeError, ShardedEngine, ShardedEngineConfig, ShardedScenario,
 };
 use satn_sim::WorkloadSpec;
 use satn_tree::ElementId;
+use std::sync::Arc;
 
 fn scenario(requests: usize) -> ShardedScenario {
     ShardedScenario::new(
@@ -43,7 +44,7 @@ fn flush_then_send_changes_nothing_but_the_drain_count() {
     let unflushed = unflushed.finish().unwrap();
 
     let mut queued = engine(&scenario, Parallelism::Threads(2));
-    let (mut sender, queue) = ingest_channel(2);
+    let (mut sender, queue) = ingest_channel_with_metrics(2, Arc::clone(queued.metrics()));
     let producer = std::thread::spawn({
         let requests = requests.clone();
         move || {
@@ -74,7 +75,7 @@ fn sender_dropped_mid_burst_serves_the_delivered_prefix() {
     let scenario = scenario(2_000);
     let requests: Vec<ElementId> = scenario.stream().collect();
     let mut queued = engine(&scenario, Parallelism::Serial);
-    let (mut sender, queue) = ingest_channel(4);
+    let (mut sender, queue) = ingest_channel_with_metrics(4, Arc::clone(queued.metrics()));
     let delivered: Vec<ElementId> = requests[..700].to_vec();
     let producer = std::thread::spawn({
         let delivered = delivered.clone();
@@ -106,7 +107,7 @@ fn surviving_senders_keep_the_queue_open() {
     let scenario = scenario(600);
     let requests: Vec<ElementId> = scenario.stream().collect();
     let mut queued = engine(&scenario, Parallelism::Serial);
-    let (sender, queue) = ingest_channel(4);
+    let (sender, queue) = ingest_channel_with_metrics(4, Arc::clone(queued.metrics()));
     let mut clone = sender.clone();
     drop(sender); // The original goes away mid-setup.
     let producer = std::thread::spawn({
@@ -124,7 +125,7 @@ fn surviving_senders_keep_the_queue_open() {
 
     // With the consumer gone, every protocol message errors — through the
     // trait and the inherent methods alike.
-    let (mut sender, queue) = ingest_channel(1);
+    let (mut sender, queue) = ingest_channel_with_metrics(1, Arc::new(EngineMetrics::new(3)));
     drop(queue);
     assert!(matches!(
         Ingest::send(&mut sender, ElementId::new(0)),
@@ -150,7 +151,7 @@ fn surviving_senders_keep_the_queue_open() {
 #[test]
 #[should_panic(expected = "must be positive")]
 fn zero_capacity_channels_are_rejected() {
-    let _ = ingest_channel(0);
+    let _ = ingest_channel_with_metrics(0, Arc::new(EngineMetrics::new(3)));
 }
 
 /// `Reshard` frames interleaved with bursts: every request sent before the
@@ -163,7 +164,7 @@ fn reshard_frames_interleave_cleanly_with_bursts() {
     let plan = ReshardPlan::new([(ElementId::new(0), 1), (ElementId::new(3), 2)]);
 
     let mut queued = engine(&scenario, Parallelism::Threads(2));
-    let (mut sender, queue) = ingest_channel(1); // Minimal capacity: full backpressure.
+    let (mut sender, queue) = ingest_channel_with_metrics(1, Arc::clone(queued.metrics())); // Minimal capacity: full backpressure.
     let producer = std::thread::spawn({
         let requests = requests.clone();
         let plan = plan.clone();

@@ -9,12 +9,13 @@
 
 use satn_core::AlgorithmKind;
 use satn_serve::{
-    ingest_channel, replay, serve_connections, EngineReport, Parallelism, ReshardPolicy,
-    ReshardSchedule, ShardedEngineConfig, ShardedScenario, TcpIngest,
+    ingest_channel_with_metrics, replay, serve_connections, EngineReport, Parallelism,
+    ReshardPolicy, ReshardSchedule, ShardedEngineConfig, ShardedScenario, TcpIngest,
 };
 use satn_sim::{ShardRouter, SimRunner, WorkloadSpec};
 use satn_tree::ElementId;
 use std::net::{Ipv4Addr, TcpListener};
+use std::sync::Arc;
 
 fn resharding_scenario() -> ShardedScenario {
     let mut scenario = ShardedScenario::new(
@@ -41,7 +42,7 @@ fn run_in_process(scenario: &ShardedScenario, parallelism: Parallelism) -> Engin
         .drain_threshold(512)
         .build()
         .unwrap();
-    let (mut sender, queue) = ingest_channel(16);
+    let (mut sender, queue) = ingest_channel_with_metrics(16, Arc::clone(engine.metrics()));
     let requests: Vec<ElementId> = scenario.stream().collect();
     let producer = std::thread::spawn(move || {
         replay(&mut sender, requests, 256).unwrap();
@@ -61,7 +62,7 @@ fn run_over_tcp(scenario: &ShardedScenario, parallelism: Parallelism) -> EngineR
         .unwrap();
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
     let addr = listener.local_addr().unwrap();
-    let (sender, queue) = ingest_channel(16);
+    let (sender, queue) = ingest_channel_with_metrics(16, Arc::clone(engine.metrics()));
     let server = std::thread::spawn(move || {
         serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
     });

@@ -15,11 +15,12 @@
 use proptest::prelude::*;
 use satn_core::AlgorithmKind;
 use satn_serve::{
-    ingest_channel, EngineReport, HandoverMode, Parallelism, ReshardPlan, ReshardPolicy,
-    ReshardSchedule, ShardedEngineConfig,
+    ingest_channel_with_metrics, EngineReport, HandoverMode, Parallelism, ReshardPlan,
+    ReshardPolicy, ReshardSchedule, ShardedEngineConfig,
 };
 use satn_sim::{ReshardEvent, ShardRouter, ShardedScenario, SimRunner, WorkloadSpec};
 use satn_tree::ElementId;
+use std::sync::Arc;
 
 /// Runs `scenario` through the engine (optionally via the ingest queue) and
 /// asserts byte-identity against the epoch-segmented serial replay at every
@@ -36,7 +37,7 @@ fn assert_matches_epoch_replay(
         .build()
         .unwrap();
     if via_queue {
-        let (sender, queue) = ingest_channel(4);
+        let (sender, queue) = ingest_channel_with_metrics(4, Arc::clone(engine.metrics()));
         let requests: Vec<ElementId> = scenario.stream().collect();
         let producer = std::thread::spawn(move || {
             for chunk in requests.chunks(61) {
@@ -171,7 +172,7 @@ fn reshard_frames_interleaved_with_bursts_match_the_manual_schedule() {
         .drain_threshold(777)
         .build()
         .unwrap();
-    let (sender, queue) = ingest_channel(4);
+    let (sender, queue) = ingest_channel_with_metrics(4, Arc::clone(engine.metrics()));
     let requests: Vec<ElementId> = base.stream().collect();
     let frames: Vec<(usize, ReshardPlan)> = positions
         .iter()

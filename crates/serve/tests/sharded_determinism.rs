@@ -13,9 +13,10 @@
 
 use proptest::prelude::*;
 use satn_core::AlgorithmKind;
-use satn_serve::{ingest_channel, Parallelism, ShardedEngineConfig};
+use satn_serve::{ingest_channel_with_metrics, Parallelism, ShardedEngineConfig};
 use satn_sim::{ShardRouter, ShardedScenario, SimRunner, WorkloadSpec};
 use satn_tree::{CostSummary, ElementId};
+use std::sync::Arc;
 
 /// Runs `scenario` through the engine (optionally via the ingest queue) and
 /// asserts byte-identity against the serial standalone replay of every
@@ -32,7 +33,7 @@ fn assert_matches_reference(
         .build()
         .unwrap();
     if via_queue {
-        let (sender, queue) = ingest_channel(4);
+        let (sender, queue) = ingest_channel_with_metrics(4, Arc::clone(engine.metrics()));
         let requests: Vec<ElementId> = scenario.stream().collect();
         let producer = std::thread::spawn(move || {
             for chunk in requests.chunks(61) {

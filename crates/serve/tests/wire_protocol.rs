@@ -7,14 +7,15 @@
 
 use satn_core::AlgorithmKind;
 use satn_serve::{
-    ingest_channel, serve_connections, HandoverMode, Ingest, IngestMessage, IngestQueue,
-    IngestSender, Parallelism, ReshardPlan, ServeError, ShardedEngine, ShardedEngineConfig,
-    ShardedScenario, TcpIngest, MAX_FRAME_BODY,
+    ingest_channel_with_metrics, serve_connections, EngineMetrics, HandoverMode, Ingest,
+    IngestMessage, IngestQueue, IngestSender, Parallelism, ReshardPlan, ServeError, ShardedEngine,
+    ShardedEngineConfig, ShardedScenario, TcpIngest, MAX_FRAME_BODY,
 };
 use satn_sim::WorkloadSpec;
 use satn_tree::ElementId;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::Arc;
 
 fn scenario(requests: usize) -> ShardedScenario {
     ShardedScenario::new(
@@ -34,6 +35,11 @@ fn engine(scenario: &ShardedScenario, parallelism: Parallelism) -> ShardedEngine
         .unwrap()
 }
 
+/// A channel with a registry of its own, for tests with no engine.
+fn standalone_channel(capacity: usize) -> (IngestSender, IngestQueue) {
+    ingest_channel_with_metrics(capacity, Arc::new(EngineMetrics::new(3)))
+}
+
 fn loopback() -> (TcpListener, SocketAddr) {
     let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
     let addr = listener.local_addr().unwrap();
@@ -49,7 +55,7 @@ fn single_connection_server(
     IngestQueue,
     std::thread::JoinHandle<Vec<satn_serve::ConnectionReport>>,
 ) {
-    let (sender, queue) = ingest_channel(capacity);
+    let (sender, queue) = standalone_channel(capacity);
     let server = std::thread::spawn(move || {
         serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
     });
@@ -165,11 +171,11 @@ fn zero_length_bursts_are_acknowledged_noops() {
     let scenario = scenario(600);
     let requests: Vec<ElementId> = scenario.stream().collect();
     let (listener, addr) = loopback();
-    let (sender, queue) = ingest_channel(8);
+    let mut engine = engine(&scenario, Parallelism::Serial);
+    let (sender, queue) = ingest_channel_with_metrics(8, Arc::clone(engine.metrics()));
     let server = std::thread::spawn(move || {
         serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
     });
-    let mut engine = engine(&scenario, Parallelism::Serial);
     let engine_thread = std::thread::spawn(move || {
         engine.serve_queue(&queue).unwrap();
         engine.finish().unwrap()
@@ -199,11 +205,11 @@ fn reshard_frames_interleave_with_flushes_over_the_wire() {
     let plan = ReshardPlan::new([(ElementId::new(0), 1), (ElementId::new(3), 2)]);
 
     let (listener, addr) = loopback();
-    let (sender, queue) = ingest_channel(4);
+    let mut engine = engine(&scenario, Parallelism::Threads(2));
+    let (sender, queue) = ingest_channel_with_metrics(4, Arc::clone(engine.metrics()));
     let server = std::thread::spawn(move || {
         serve_connections(&listener, &sender, None, Parallelism::Serial, 1).unwrap()
     });
-    let mut engine = engine(&scenario, Parallelism::Threads(2));
     let engine_thread = std::thread::spawn(move || {
         engine.serve_queue(&queue).unwrap();
         engine.finish().unwrap()
@@ -272,7 +278,7 @@ fn byte_at_a_time_clients_are_served_normally() {
 #[test]
 fn failures_are_isolated_per_connection() {
     let (listener, addr) = loopback();
-    let (sender, queue) = ingest_channel(64);
+    let (sender, queue) = standalone_channel(64);
     let server = std::thread::spawn(move || {
         serve_connections(&listener, &sender, None, Parallelism::Threads(3), 3).unwrap()
     });
@@ -311,9 +317,9 @@ fn foreign_elements_and_shards_are_rejected_without_stopping_the_server() {
     let universe = scenario.universe();
     let foreign = ElementId::new(universe + 7);
     let (listener, addr) = loopback();
-    let (sender, queue) = ingest_channel(8);
     let mut engine = engine(&scenario, Parallelism::Threads(2));
-    let metrics = engine.metrics().clone();
+    let metrics = Arc::clone(engine.metrics());
+    let (sender, queue) = ingest_channel_with_metrics(8, Arc::clone(&metrics));
     let server = std::thread::spawn(move || {
         serve_connections(&listener, &sender, None, Parallelism::Threads(2), 2).unwrap()
     });
@@ -358,7 +364,7 @@ fn foreign_elements_and_shards_are_rejected_without_stopping_the_server() {
 fn both_transports_feed_the_queue_identically() {
     let elements: Vec<ElementId> = (0..100).map(ElementId::new).collect();
 
-    let (mut sender, queue) = ingest_channel(64);
+    let (mut sender, queue) = standalone_channel(64);
     satn_serve::replay(&mut sender, elements.iter().copied(), 7).unwrap();
     drop(sender);
     let mut in_process = Vec::new();
@@ -390,12 +396,12 @@ fn lookups_are_served_end_to_end_from_published_snapshots() {
     let scenario = scenario(1_200);
     let requests: Vec<ElementId> = scenario.stream().collect();
     let (listener, addr) = loopback();
-    let (sender, queue) = ingest_channel(8);
     let mut engine = ShardedEngineConfig::from_scenario(&scenario)
         .parallelism(Parallelism::Threads(2))
         .drain_threshold(300)
         .build()
         .unwrap();
+    let (sender, queue) = ingest_channel_with_metrics(8, Arc::clone(engine.metrics()));
     let reader = engine.snapshots();
     let server = std::thread::spawn(move || {
         serve_connections(&listener, &sender, Some(&reader), Parallelism::Serial, 1).unwrap()
@@ -443,7 +449,7 @@ fn lookups_are_served_end_to_end_from_published_snapshots() {
 /// trait did not change the in-process API surface.
 #[test]
 fn the_channel_sender_still_works_through_the_trait_object() {
-    let (mut sender, queue) = ingest_channel(4);
+    let (mut sender, queue) = standalone_channel(4);
     let ingest: &mut dyn Ingest = &mut sender;
     ingest.send(ElementId::new(1)).unwrap();
     drop(sender);

@@ -166,6 +166,36 @@ impl ShardedScenario {
         self.shards * self.shard_capacity()
     }
 
+    /// The universe size, or why the scenario's geometry cannot exist: it
+    /// needs at least one shard, `shard_levels` in `1..=31` (the deepest
+    /// complete tree `u32` element ids can number), and a universe
+    /// `shards × (2^shard_levels − 1)` that fits in `u32`. Every other
+    /// method assumes this holds.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated bound.
+    pub fn checked_universe(&self) -> Result<u32, String> {
+        if self.shards == 0 {
+            return Err("a sharded scenario needs at least one shard".to_owned());
+        }
+        if !(1..=31).contains(&self.shard_levels) {
+            return Err(format!(
+                "{} levels per shard is outside 1..=31",
+                self.shard_levels
+            ));
+        }
+        self.shards
+            .checked_mul(self.shard_capacity())
+            .ok_or_else(|| {
+                format!(
+                    "{} shards × {} elements overflows the u32 element universe",
+                    self.shards,
+                    self.shard_capacity()
+                )
+            })
+    }
+
     /// The global request stream (deterministic in the scenario's seed).
     pub fn stream(&self) -> Box<dyn Iterator<Item = ElementId> + Send + '_> {
         self.workload
@@ -500,6 +530,16 @@ mod tests {
         );
         s.router = router;
         s
+    }
+
+    #[test]
+    fn checked_universe_accepts_exactly_the_u32_geometries() {
+        let mut sharded = scenario(ShardRouter::Hash);
+        assert_eq!(sharded.checked_universe(), Ok(4 * 31));
+        (sharded.shards, sharded.shard_levels) = (2, 31);
+        assert_eq!(sharded.checked_universe(), Ok(u32::MAX - 1));
+        sharded.shards = 3;
+        assert!(sharded.checked_universe().is_err());
     }
 
     #[test]

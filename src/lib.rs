@@ -68,13 +68,13 @@ pub use satn_core::{
     AlgorithmKind, MaxPush, MoveHalf, MoveToFront, RandomPush, RotorPush, SelfAdjustingTree,
     StaticOblivious, StaticOpt,
 };
-pub use satn_exec::{for_each_ordered, ordered_map, ordered_map_mut, Parallelism};
+pub use satn_exec::{for_each_ordered, ordered_map, Parallelism};
 pub use satn_network::{Host, HostPair, SelfAdjustingNetwork};
 pub use satn_obs::{EngineMetrics, LatencyHistogram, MetricsSnapshot, TraceRing};
 pub use satn_rotor::{RotorState, RotorWalk};
 pub use satn_serve::{
-    ingest_channel, replay, serve_connections, EngineReport, EngineSnapshot, Frame, Ingest,
-    IngestMessage, IngestQueue, IngestSender, LookupAnswer, ServeError, ShardedEngine,
+    ingest_channel_with_metrics, replay, serve_connections, EngineReport, EngineSnapshot, Frame,
+    Ingest, IngestMessage, IngestQueue, IngestSender, LookupAnswer, ServeError, ShardedEngine,
     ShardedEngineConfig, SnapshotReader, SourceShardedEngine, TcpIngest, WireError,
 };
 pub use satn_sim::{
