@@ -15,8 +15,7 @@ use satn_tree::{
     placement, CompleteTree, CostSummary, ElementId, MarkScratch, MarkedRound, NodeId, Occupancy,
 };
 use satn_workloads::shard::{
-    carry_remap, handover, handover_touched, touched_shards, EpochedPartition, Partition,
-    ReshardPlan, ShardRouter,
+    carry_remap, handover, touched_shards, EpochedPartition, Partition, ReshardPlan, ShardRouter,
 };
 use satn_workloads::synthetic;
 
@@ -212,21 +211,19 @@ fn bench_serve_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cold vs warm reshard handover at growing universe sizes: a plan moving
-/// two elements between 2 of S fixed-size shards. The cold path rebuilds
-/// every shard's tree from its canonical placement; the warm path rebuilds
-/// only the two touched trees (carrying their exported rotor/recency state)
-/// and keeps the rest untouched — so warm cost tracks the moved-element
-/// count while cold cost tracks the universe size.
+/// The reshard handover at growing universe sizes: a plan moving two
+/// elements between 2 of S fixed-size shards. Only the two touched trees
+/// are rebuilt (carrying their exported rotor/recency state) and the rest
+/// stay untouched, so the cost should track the moved-element count rather
+/// than the universe size.
 fn bench_reshard_handover(c: &mut Criterion) {
     let mut group = c.benchmark_group("reshard-handover");
     group.sample_size(20);
     let kind = AlgorithmKind::RotorPush;
 
     // The universe grows by adding fixed-size shards (127 elements each),
-    // not by deepening a fixed shard set: a cold handover rebuilds every
-    // shard so it scales with the universe, while the warm handover only
-    // rebuilds the plan's two touched shards — constant work at any size.
+    // not by deepening a fixed shard set: the handover only rebuilds the
+    // plan's two touched shards, whatever the shard count.
     const SHARD_LEVELS: u32 = 7;
     for exponent in [10u32, 14, 18] {
         let shards = 1u32 << (exponent - SHARD_LEVELS);
@@ -257,37 +254,13 @@ fn bench_reshard_handover(c: &mut Criterion) {
             .collect();
 
         group.bench_with_input(
-            BenchmarkId::new("cold", format!("2^{exponent}")),
-            &exponent,
-            |b, _| {
-                b.iter(|| {
-                    let occupancies: Vec<&Occupancy> =
-                        trees.iter().map(|t| t.occupancy()).collect();
-                    let outcome = handover(&old, &new, &occupancies);
-                    let rebuilt: Vec<_> = outcome
-                        .placements
-                        .into_iter()
-                        .enumerate()
-                        .map(|(shard, placement)| {
-                            let levels = (placement.len() + 1).trailing_zeros();
-                            let geometry = CompleteTree::with_levels(levels).unwrap();
-                            let occupancy = Occupancy::from_placement(geometry, placement).unwrap();
-                            kind.instantiate(occupancy, shard as u64, &[]).unwrap()
-                        })
-                        .collect();
-                    black_box(rebuilt)
-                })
-            },
-        );
-
-        group.bench_with_input(
             BenchmarkId::new("warm", format!("2^{exponent}")),
             &exponent,
             |b, _| {
                 b.iter(|| {
                     let occupancies: Vec<&Occupancy> =
                         trees.iter().map(|t| t.occupancy()).collect();
-                    let outcome = handover_touched(&old, &new, &occupancies, &touched);
+                    let outcome = handover(&old, &new, &occupancies, &touched);
                     let rebuilt: Vec<_> = outcome
                         .placements
                         .into_iter()

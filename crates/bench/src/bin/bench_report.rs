@@ -13,21 +13,14 @@
 //!
 //! The committed `BENCH_PR*.json` files at the repository root are the data
 //! points of this trajectory; rerun on any machine with
-//! `cargo run --release -p satn-bench --bin bench-report`. The report also
-//! carries a **handover section**: cold full-rebuild vs warm carried
-//! reshard handover for a two-shard plan across universe sizes, showing the
-//! warm cost tracks the moved-element count rather than the universe.
+//! `cargo run --release -p satn-bench --bin bench-report`.
 
-use satn_core::{AlgorithmKind, SelfAdjustingTree};
+use satn_core::AlgorithmKind;
 use satn_exec::Parallelism;
 use satn_serve::{EngineReport, ReshardPolicy, ReshardSchedule, ShardedEngineConfig};
 use satn_sim::{Checkpoints, ScenarioGrid, ScenarioResult, SimRunner};
 use satn_sim::{Scenario, ShardRouter, ShardedScenario, WorkloadSpec};
-use satn_tree::{CompleteTree, ElementId, Occupancy};
-use satn_workloads::shard::{
-    carry_remap, handover, handover_touched, touched_shards, EpochedPartition, Partition,
-    ReshardPlan,
-};
+use satn_tree::ElementId;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -245,126 +238,6 @@ fn reshard_section_json(
     ))
 }
 
-/// The warm-handover section: a reshard plan moving two elements between
-/// 2 of S fixed-size shards (127 elements each), applied cold (every tree
-/// rebuilt and reseeded) vs warm (untouched shards keep their live trees;
-/// the two touched trees carry their exported rotor state), at universe
-/// sizes 2^10 / 2^14 / 2^18 grown by adding shards. Cold cost is
-/// O(universe); warm cost tracks the moved-element count, so the gap must
-/// widen with size. Also verifies both modes migrate the same elements at
-/// the same priced cost. Returns the JSON fragment, or `None` if an oracle
-/// or the expected scaling fails.
-fn handover_section_json(runs: usize) -> Option<String> {
-    const SHARD_LEVELS: u32 = 7;
-    let kind = AlgorithmKind::RotorPush;
-    let runs = runs.max(9);
-    let mut sections = Vec::new();
-    let mut top_speedup = 0.0f64;
-    for exponent in [10u32, 14, 18] {
-        let shards = 1u32 << (exponent - SHARD_LEVELS);
-        let universe = shards * ((1u32 << SHARD_LEVELS) - 1);
-        let old = Partition::new(ShardRouter::Range, universe, shards);
-        let mut log = EpochedPartition::from_partition(old.clone());
-        let plan = ReshardPlan::new([(ElementId::new(0), 1), (ElementId::new(1), 1)]);
-        log.apply(plan).expect("the plan moves owned elements");
-        let new = log.current().clone();
-        let touched = touched_shards(&old, &new);
-
-        // Live trees with served history, so the warm path carries real
-        // rotor state rather than the cold-start configuration.
-        let trees: Vec<_> = (0..shards)
-            .map(|shard| {
-                let tree = CompleteTree::with_levels(old.shard_levels(shard))
-                    .expect("bench levels are valid");
-                let mut algorithm = kind
-                    .instantiate(Occupancy::identity(tree), u64::from(shard), &[])
-                    .expect("online algorithms instantiate from any occupancy");
-                for step in 0..100u32 {
-                    let element = ElementId::new((step * 17 + shard) % tree.num_nodes());
-                    algorithm.serve(element).expect("served elements are owned");
-                }
-                algorithm
-            })
-            .collect();
-        let occupancies: Vec<&Occupancy> = trees.iter().map(|t| t.occupancy()).collect();
-
-        // Oracle: the incremental handover prices exactly the full one.
-        let full = handover(&old, &new, &occupancies);
-        let incremental = handover_touched(&old, &new, &occupancies, &touched);
-        if full.migration != incremental.migration {
-            eprintln!("FATAL: warm handover repriced the migration at 2^{exponent}");
-            return None;
-        }
-
-        // Best-of-N timing (fixed small work per sample; see time_walks).
-        let mut cold_us = f64::INFINITY;
-        let mut warm_us = f64::INFINITY;
-        for sample in 0..=runs {
-            let started = Instant::now();
-            let outcome = handover(&old, &new, &occupancies);
-            let rebuilt: Vec<_> = outcome
-                .placements
-                .into_iter()
-                .enumerate()
-                .map(|(shard, placement)| {
-                    let levels = (placement.len() + 1).trailing_zeros();
-                    let geometry = CompleteTree::with_levels(levels).expect("placements are trees");
-                    let occupancy = Occupancy::from_placement(geometry, placement)
-                        .expect("handover placements are permutations");
-                    kind.instantiate(occupancy, shard as u64, &[])
-                        .expect("online algorithms instantiate from any occupancy")
-                })
-                .collect();
-            std::hint::black_box(rebuilt);
-            if sample > 0 {
-                cold_us = cold_us.min(started.elapsed().as_secs_f64() * 1e6);
-            }
-
-            let started = Instant::now();
-            let outcome = handover_touched(&old, &new, &occupancies, &touched);
-            let rebuilt: Vec<_> = outcome
-                .placements
-                .into_iter()
-                .enumerate()
-                .filter(|(shard, _)| touched[*shard])
-                .map(|(shard, placement)| {
-                    let levels = (placement.len() + 1).trailing_zeros();
-                    let geometry = CompleteTree::with_levels(levels).expect("placements are trees");
-                    let occupancy = Occupancy::from_placement(geometry, placement)
-                        .expect("handover placements are permutations");
-                    let remap = carry_remap(&old, &new, shard as u32);
-                    let state = trees[shard].export_state().carried_into(geometry, &remap);
-                    kind.instantiate_warm(occupancy, shard as u64, &[], &state)
-                        .expect("warm state fits the rebuilt tree")
-                })
-                .collect();
-            std::hint::black_box(rebuilt);
-            if sample > 0 {
-                warm_us = warm_us.min(started.elapsed().as_secs_f64() * 1e6);
-            }
-        }
-
-        let speedup = cold_us / warm_us;
-        top_speedup = speedup;
-        let touched_count = touched.iter().filter(|&&t| t).count();
-        println!(
-            "# handover 2^{exponent} universe ({touched_count}/{shards} shards touched, {} moved): cold {cold_us:.1} us | warm {warm_us:.1} us | {speedup:.1}x",
-            full.migration.moved,
-        );
-        sections.push(format!(
-            "    {{ \"universe\": {universe}, \"shards\": {shards}, \"touched_shards\": {touched_count}, \"moved_elements\": {}, \"cold_us\": {cold_us:.2}, \"warm_us\": {warm_us:.2}, \"warm_speedup\": {speedup:.2}, \"same_migration_cost\": true }}",
-            full.migration.moved,
-        ));
-    }
-    // The headline claim: at the largest universe a 2-shard plan's warm
-    // handover must be at least 5x cheaper than the cold rebuild.
-    if top_speedup < 5.0 {
-        eprintln!("FATAL: warm handover is only {top_speedup:.1}x cheaper than cold at 2^18");
-        return None;
-    }
-    Some(format!("[\n{}\n  ]", sections.join(",\n")))
-}
-
 fn main() -> ExitCode {
     let mut requests = 5_000usize;
     let mut runs = 5usize;
@@ -451,14 +324,8 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    // Handover section: cold full rebuild vs warm carry for a 2-shard plan
-    // across universe sizes — warm cost must track moved elements, not size.
-    let Some(handover_json) = handover_section_json(runs) else {
-        return ExitCode::FAILURE;
-    };
-
     let json = format!(
-        "{{\n  \"benchmark\": \"sim-smoke-grid\",\n  \"grid_cells\": {},\n  \"requests_per_cell\": {},\n  \"runs\": {},\n  \"available_threads\": {},\n  \"parallel_workers\": {},\n  \"serial_ms\": {},\n  \"parallel_ms\": {},\n  \"serial_median_ms\": {:.3},\n  \"parallel_median_ms\": {:.3},\n  \"speedup\": {:.3},\n  \"deterministic\": true,\n  \"shard_scaling\": {},\n  \"resharding\": {},\n  \"handover\": {}\n}}\n",
+        "{{\n  \"benchmark\": \"sim-smoke-grid\",\n  \"grid_cells\": {},\n  \"requests_per_cell\": {},\n  \"runs\": {},\n  \"available_threads\": {},\n  \"parallel_workers\": {},\n  \"serial_ms\": {},\n  \"parallel_ms\": {},\n  \"serial_median_ms\": {:.3},\n  \"parallel_median_ms\": {:.3},\n  \"speedup\": {:.3},\n  \"deterministic\": true,\n  \"shard_scaling\": {},\n  \"resharding\": {}\n}}\n",
         grid.len(),
         requests,
         runs,
@@ -471,7 +338,6 @@ fn main() -> ExitCode {
         speedup,
         sharded_json,
         reshard_json,
-        handover_json,
     );
     if let Err(error) = std::fs::write(&out, json) {
         eprintln!("failed to write {out}: {error}");

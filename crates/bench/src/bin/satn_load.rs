@@ -12,7 +12,7 @@
 //! satn-load --addr ADDR [--shards N] [--levels N] [--algorithm A]
 //!           [--workload W] [--requests N] [--seed S] [--burst N]
 //!           [--window N] [--reads FRACTION] [--reshard-every N]
-//!           [--handover cold|warm] [--stats] [--out FILE]
+//!           [--stats] [--out FILE]
 //! ```
 //!
 //! With `--reads FRACTION` (0 ≤ f < 1) the generator interleaves `Lookup`
@@ -25,10 +25,9 @@
 //! With `--reshard-every N` the generator injects a `Reshard` control frame
 //! after every `N` requests sent, moving two elements of the latest burst to
 //! their next shard (the client tracks its own epoch log, so every plan names
-//! real cross-shard moves). `--handover cold|warm` picks the handover mode
-//! carried by those frames; each reshard frame's write-to-ack RTT is reported
+//! real cross-shard moves). Each reshard frame's write-to-ack RTT is reported
 //! separately, so the client sees exactly what a handover costs the write
-//! path under either mode.
+//! path.
 //!
 //! With `--stats` the generator additionally polls the server's metrics
 //! registry over the wire (a `Stats` frame, answered off the write path)
@@ -55,8 +54,7 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: satn-load --addr ADDR [--shards N] [--levels N] [--algorithm A] \
                      [--workload W] [--requests N] [--seed S] [--burst N] [--window N] \
-                     [--reads FRACTION] [--reshard-every N] [--handover cold|warm] \
-                     [--stats] [--out FILE]";
+                     [--reads FRACTION] [--reshard-every N] [--stats] [--out FILE]";
 
 /// How often `--stats` polls the server registry mid-run.
 const STATS_INTERVAL: Duration = Duration::from_millis(250);
@@ -121,7 +119,6 @@ fn print_stats_line(snapshot: &MetricsSnapshot) {
 /// `reshard_every > 0`, a `Reshard` frame follows every `reshard_every`-th
 /// request: the client applies each plan to its own epoch log, so every
 /// plan moves two of the latest burst's elements to their next shard.
-#[allow(clippy::too_many_arguments)]
 fn run(
     addr: &str,
     scenario: &ShardedScenario,
@@ -129,7 +126,6 @@ fn run(
     window: usize,
     reads: f64,
     reshard_every: usize,
-    handover: HandoverMode,
     stats: bool,
 ) -> Result<LoadReport, ServeError> {
     let mut client = connect_with_retry(addr)?.with_window(window);
@@ -169,7 +165,7 @@ fn run(
             }
             let plan = ReshardPlan::new(moves);
             log.apply(plan.clone()).expect("plans move owned elements");
-            client.reshard(&plan, handover)?;
+            client.reshard(&plan, HandoverMode::Warm)?;
             in_flight.push_back((Instant::now(), true));
             reshards += 1;
         }
@@ -239,7 +235,6 @@ fn json(
     burst: usize,
     window: usize,
     reads: f64,
-    handover: HandoverMode,
 ) -> String {
     let micros = |d: Duration| d.as_secs_f64() * 1e6;
     let quantiles = |histogram: &LatencyHistogram| {
@@ -292,7 +287,7 @@ fn json(
         .unwrap_or_else(|| String::from("null"));
     format!(
         "{{\n  \"scenario\": \"{}\",\n  \"requests\": {},\n  \"frames\": {},\n  \
-         \"lookups\": {},\n  \"reshards\": {},\n  \"handover\": \"{}\",\n  \
+         \"lookups\": {},\n  \"reshards\": {},\n  \
          \"reads\": {:.4},\n  \"burst\": {},\n  \"window\": {},\n  \
          \"elapsed_s\": {:.6},\n  \"throughput_req_per_s\": {:.0},\n  \
          \"throughput_ops_per_s\": {:.0},\n  \"frame_rtt_us\": {},\n  \
@@ -302,7 +297,6 @@ fn json(
         report.frames,
         report.lookups,
         report.reshards,
-        handover,
         reads,
         burst,
         window,
@@ -328,7 +322,6 @@ fn main() -> ExitCode {
     let mut window = DEFAULT_WINDOW;
     let mut reads = 0.0f64;
     let mut reshard_every = 0usize;
-    let mut handover = HandoverMode::Cold;
     let mut stats = false;
     let mut out = None;
 
@@ -379,10 +372,6 @@ fn main() -> ExitCode {
                 Some(value) if value > 0 => reshard_every = value,
                 _ => return usage(),
             },
-            "--handover" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(value) => handover = value,
-                None => return usage(),
-            },
             "--stats" => stats = true,
             "--out" => match args.next() {
                 Some(value) => out = Some(value),
@@ -405,16 +394,7 @@ fn main() -> ExitCode {
         eprintln!("satn-load: {reason}");
         return ExitCode::FAILURE;
     }
-    let report = match run(
-        &addr,
-        &scenario,
-        burst,
-        window,
-        reads,
-        reshard_every,
-        handover,
-        stats,
-    ) {
+    let report = match run(&addr, &scenario, burst, window, reads, reshard_every, stats) {
         Ok(report) => report,
         Err(error) => {
             eprintln!("satn-load: {error}");
@@ -422,7 +402,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let rendered = json(&report, &scenario, burst, window, reads, handover);
+    let rendered = json(&report, &scenario, burst, window, reads);
     print!("{rendered}");
     if let Some(path) = out {
         if let Err(error) = std::fs::write(&path, &rendered) {

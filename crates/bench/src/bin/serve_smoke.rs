@@ -6,15 +6,14 @@
 //! chained through the deterministic handover). With `--reshard-every N` the
 //! engines also reshard mid-stream under the load-adaptive `MoveHottest`
 //! policy, so the full drain-fence → migrate → epoch-bump handover path is
-//! exercised on every push; `--handover warm` runs those handovers in
-//! warm-carry mode (untouched shards keep their live trees, touched shards
-//! carry rotor/recency state), verified against the warm replay. Also runs
+//! exercised on every push (untouched shards keep their live trees, touched
+//! shards carry rotor/recency state). Also runs
 //! the ego-tree-per-source mode against a serial `SelfAdjustingNetwork`
 //! replay. Exits non-zero on any divergence.
 //!
 //! ```text
 //! serve-smoke [--shards N] [--threads N|auto|serial] [--requests N] [--seed S]
-//!             [--reshard-every N] [--handover cold|warm]
+//!             [--reshard-every N]
 //! ```
 
 use rand::rngs::StdRng;
@@ -22,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use satn_core::AlgorithmKind;
 use satn_network::{Host, HostPair, SelfAdjustingNetwork};
 use satn_serve::{
-    ingest_channel_with_metrics, replay, HandoverMode, Parallelism, ReshardPolicy, ReshardSchedule,
+    ingest_channel_with_metrics, replay, Parallelism, ReshardPolicy, ReshardSchedule,
     ShardedEngineConfig, SourceShardedEngine,
 };
 use satn_sim::{ShardRouter, ShardedScenario, SimRunner, WorkloadSpec};
@@ -32,7 +31,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 const USAGE: &str = "usage: serve-smoke [--shards N] [--threads N|auto|serial] [--requests N] \
-                     [--seed S] [--reshard-every N] [--handover cold|warm]";
+                     [--seed S] [--reshard-every N]";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -157,7 +156,6 @@ fn main() -> ExitCode {
     let mut seed = 2022u64;
     let mut parallelism = Parallelism::Auto;
     let mut reshard_every = 0usize;
-    let mut handover = HandoverMode::Cold;
     let mut args = std::env::args().skip(1);
     while let Some(argument) = args.next() {
         match argument.as_str() {
@@ -181,10 +179,6 @@ fn main() -> ExitCode {
                 Some(value) if value > 0 => reshard_every = value,
                 _ => return usage(),
             },
-            "--handover" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(value) => handover = value,
-                None => return usage(),
-            },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -207,7 +201,7 @@ fn main() -> ExitCode {
         requests,
         parallelism.threads(),
         if reshard_every > 0 {
-            format!(", resharding every {reshard_every} ({handover} handover)")
+            format!(", resharding every {reshard_every}")
         } else {
             String::new()
         }
@@ -232,7 +226,6 @@ fn main() -> ExitCode {
                     every: reshard_every,
                     max_moves: 16,
                 });
-                scenario.handover = handover;
             }
             let Some(elapsed) = run_and_verify(&scenario, parallelism) else {
                 return ExitCode::FAILURE;

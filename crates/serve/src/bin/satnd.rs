@@ -15,8 +15,7 @@
 //! satnd [--listen ADDR] [--shards N] [--levels N] [--algorithm A]
 //!       [--workload W] [--requests N] [--seed S] [--router R]
 //!       [--threads N|auto|serial] [--reshard-every N]
-//!       [--handover cold|warm] [--connections N]
-//!       [--capacity N] [--verify] [--metrics-dump]
+//!       [--connections N] [--capacity N] [--verify] [--metrics-dump]
 //! ```
 //!
 //! The scenario flags describe the engine the server fronts; with
@@ -39,7 +38,6 @@ use satn_serve::{
     ReshardPolicy, ReshardSchedule, ServeError, ShardedEngineConfig, ShardedScenario,
 };
 use satn_sim::{ShardRouter, SimRunner, WorkloadSpec};
-use satn_workloads::shard::HandoverMode;
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -49,8 +47,7 @@ use std::time::Instant;
 const USAGE: &str = "usage: satnd [--listen ADDR] [--shards N] [--levels N] [--algorithm A] \
                      [--workload W] [--requests N] [--seed S] [--router hash|range|source] \
                      [--threads N|auto|serial] [--reshard-every N] \
-                     [--handover cold|warm] [--connections N] [--capacity N] [--verify] \
-                     [--metrics-dump]";
+                     [--connections N] [--capacity N] [--verify] [--metrics-dump]";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -113,7 +110,6 @@ fn main() -> ExitCode {
     let mut router: Option<ShardRouter> = None;
     let mut parallelism = Parallelism::Auto;
     let mut reshard_every = 0usize;
-    let mut handover = HandoverMode::Cold;
     let mut connections = 1usize;
     let mut capacity = 16usize;
     let mut verify = false;
@@ -162,10 +158,6 @@ fn main() -> ExitCode {
                 Some(value) if value > 0 => reshard_every = value,
                 _ => return usage(),
             },
-            "--handover" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(value) => handover = value,
-                None => return usage(),
-            },
             "--connections" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(value) if value > 0 => connections = value,
                 _ => return usage(),
@@ -189,9 +181,6 @@ fn main() -> ExitCode {
     }
 
     let mut scenario = ShardedScenario::new(algorithm, workload, shards, levels, requests, seed);
-    // The scenario carries the handover mode so the `--verify` reference
-    // replay reproduces warm handovers exactly as the engine runs them.
-    scenario.handover = handover;
     if let Some(router) = router {
         scenario.router = router;
     }

@@ -7,8 +7,8 @@ use satn_exec::Parallelism;
 use satn_sim::ShardedScenario;
 
 /// Builder for [`ShardedEngine`]: every engine is built from a
-/// [`ShardedScenario`] — its partition, trees, reshard schedule and
-/// handover mode — so [`ShardedScenario::epoch_replay`] is always its
+/// [`ShardedScenario`] — its partition, trees and reshard schedule — so
+/// [`ShardedScenario::epoch_replay`] is always its
 /// byte-exact reference. The builder adds only the worker budget and the
 /// drain threshold, neither of which changes any result, and validates it
 /// all at once in [`ShardedEngineConfig::build`]: invalid configurations
@@ -44,11 +44,8 @@ impl ShardedEngineConfig {
     /// Configures an engine built from a [`ShardedScenario`]: the
     /// scenario's epoch-0 partition, per-shard trees instantiated exactly
     /// as its standalone reference scenarios build theirs (what makes the
-    /// serial replay a byte-exact oracle), its reshard schedule applied
-    /// online, and its `handover` field as the default [`HandoverMode`]
-    /// of every reshard.
-    ///
-    /// [`HandoverMode`]: crate::HandoverMode
+    /// serial replay a byte-exact oracle), and its reshard schedule
+    /// applied online.
     pub fn from_scenario(scenario: &ShardedScenario) -> Self {
         ShardedEngineConfig {
             scenario: scenario.clone(),

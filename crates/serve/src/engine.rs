@@ -13,8 +13,8 @@ use satn_tree::{
     ShardedCostSummary, TreeSnapshot,
 };
 use satn_workloads::shard::{
-    algorithm_seed, carry_remap, handover, handover_touched, shard_epoch_seed, touched_shards,
-    EpochedPartition, HandoverMode, Partition, PolicyDriver, ReshardEvent, ReshardPlan,
+    algorithm_seed, carry_remap, handover, shard_epoch_seed, touched_shards, EpochedPartition,
+    HandoverMode, Partition, PolicyDriver, ReshardEvent, ReshardPlan,
 };
 use std::collections::VecDeque;
 use std::fmt;
@@ -90,9 +90,10 @@ enum OnlineSchedule {
 ///    epoch, and the closing epoch's per-shard fingerprints are recorded;
 /// 2. **migrate** — the moved elements are deleted from their source trees
 ///    and re-inserted into their destinations in canonical element order
-///    ([`satn_workloads::shard::handover`]), each paying its access cost,
-///    with every shard's tree rebuilt fresh from the post-handover placement
-///    and a per-`(shard, epoch)` derived seed;
+///    ([`satn_workloads::shard::handover`]), each paying its access cost;
+///    only the shards the plan touches are rebuilt from their post-handover
+///    placement, each carrying its predecessor's rotor/recency/RNG state,
+///    while every untouched shard keeps its live tree;
 /// 3. **epoch bump** — the [`EpochedPartition`] log grows, and the
 ///    accounting opens a new epoch sub-summary carrying the migration cost.
 ///
@@ -124,12 +125,6 @@ pub struct ShardedEngine {
     /// the base seed of its per-`(shard, epoch)` derived seeds; `None` only
     /// for offline algorithms, which cannot reshard.
     rebuild: Option<(AlgorithmKind, u64)>,
-    /// How scheduled and explicit reshards hand state across the epoch
-    /// boundary: `Cold` rebuilds every shard tree from scratch, `Warm`
-    /// carries rotor/recency/RNG state and skips untouched shards entirely
-    /// (their live trees survive verbatim). `Reshard` ingest frames carry
-    /// their own mode and override this default.
-    handover: HandoverMode,
     schedule: OnlineSchedule,
     /// Per completed epoch, the per-shard fingerprints at its closing drain
     /// fence (the final epoch's fingerprints are appended by `finish`).
@@ -207,7 +202,6 @@ impl ShardedEngine {
             parallelism,
             control: DrainControl::new(drain_threshold),
             rebuild: (!offline).then_some((scenario.algorithm, scenario.seed)),
-            handover: scenario.handover,
             schedule,
             epoch_fingerprints: Vec::new(),
             boundaries: Vec::new(),
@@ -436,38 +430,22 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Reshards the engine with the deterministic handover protocol under
-    /// the engine's default [`HandoverMode`]: drain fence (every buffered
-    /// request is served under the closing epoch, and the closing epoch's
-    /// fingerprints are recorded), element migration via the canonical
-    /// delete/re-insert order of [`satn_workloads::shard::handover`], and
-    /// the epoch bump (partition log + accounting).
+    /// Reshards the engine with the deterministic handover protocol: drain
+    /// fence (every buffered request is served under the closing epoch, and
+    /// the closing epoch's fingerprints are recorded), element migration
+    /// via the canonical delete/re-insert order of
+    /// [`satn_workloads::shard::handover`], and the epoch bump (partition
+    /// log + accounting).
     ///
-    /// # Errors
-    ///
-    /// See [`ShardedEngine::reshard_with`].
-    pub fn reshard(&mut self, plan: ReshardPlan) -> Result<(), ServeError> {
-        let mode = self.handover;
-        self.reshard_with(plan, mode)
-    }
-
-    /// [`ShardedEngine::reshard`] with an explicit [`HandoverMode`] (the
-    /// mode a `Reshard` ingest frame carried, overriding the engine's
-    /// default).
-    ///
-    /// Under [`HandoverMode::Cold`] every shard tree is rebuilt fresh from
-    /// the post-handover placement with its `(shard, epoch)` derived seed.
-    /// Under [`HandoverMode::Warm`] only the shards the plan touches (move
-    /// sources and destinations, [`satn_workloads::shard::touched_shards`])
-    /// are rebuilt — each re-instantiated warm, carrying its predecessor's
-    /// rotor/recency/RNG state across the boundary
-    /// ([`satn_core::WarmState`]) — while every untouched shard keeps its
-    /// live tree verbatim, paying zero handover work. Both modes produce
-    /// the same placements and the same migration cost; the rotor-walk
-    /// determinism results of Angel & Holroyd make the warm trees exactly
-    /// as deterministic as cold ones, so the warm serial reference replay
-    /// ([`ShardedScenario::epoch_replay`] with a warm scenario) stays a
-    /// byte-exact oracle.
+    /// Only the shards the plan touches (move sources and destinations,
+    /// [`satn_workloads::shard::touched_shards`]) are rebuilt — each
+    /// re-instantiated warm, carrying its predecessor's rotor/recency/RNG
+    /// state across the boundary ([`satn_core::WarmState`]) — while every
+    /// untouched shard keeps its live tree verbatim, paying zero handover
+    /// work. The rotor-walk determinism results of Angel & Holroyd make the
+    /// carried trees exactly as deterministic as freshly seeded ones, so
+    /// the serial reference replay ([`ShardedScenario::epoch_replay`])
+    /// stays a byte-exact oracle.
     ///
     /// # Errors
     ///
@@ -476,11 +454,7 @@ impl ShardedEngine {
     /// partition (the engine is unchanged beyond the drain fence),
     /// [`ServeError::Handover`] if the handover produced a placement no
     /// shard tree can be rebuilt from, or a drain/rebuild error.
-    pub fn reshard_with(
-        &mut self,
-        plan: ReshardPlan,
-        mode: HandoverMode,
-    ) -> Result<(), ServeError> {
+    pub fn reshard(&mut self, plan: ReshardPlan) -> Result<(), ServeError> {
         let Some((kind, base_seed)) = self.rebuild else {
             return Err(ServeError::ReshardUnsupported {
                 reason: OFFLINE_REBUILD,
@@ -508,11 +482,9 @@ impl ShardedEngine {
         // The fence state is the closing epoch's boundary fingerprint.
         self.capture_boundary_fingerprints();
         self.boundaries.push(self.control.submitted() as usize);
-        // 2. Migrate: canonical delete/re-insert. Cold mode materializes
-        // (and rebuilds from) every shard's placement; warm mode only the
-        // touched shards' — an untouched shard's placement already equals
-        // its live occupancy bit for bit, so the empty entry means "keep
-        // the live tree".
+        // 2. Migrate: canonical delete/re-insert, materializing (and
+        // rebuilding from) only the touched shards' placements — an
+        // untouched shard's empty entry means "keep the live tree".
         let touched = touched_shards(&old, self.log.current());
         let outcome = {
             let occupancies: Vec<&Occupancy> = self
@@ -520,16 +492,11 @@ impl ShardedEngine {
                 .iter()
                 .map(|shard| shard.tree.occupancy())
                 .collect();
-            match mode {
-                HandoverMode::Cold => handover(&old, self.log.current(), &occupancies),
-                HandoverMode::Warm => {
-                    handover_touched(&old, self.log.current(), &occupancies, &touched)
-                }
-            }
+            handover(&old, self.log.current(), &occupancies, &touched)
         };
         let mut rebuilt_nodes = 0u64;
         for (shard, placement) in outcome.placements.into_iter().enumerate() {
-            if mode == HandoverMode::Warm && !touched[shard] {
+            if !touched[shard] {
                 continue;
             }
             let levels = (placement.len() + 1).trailing_zeros();
@@ -545,21 +512,17 @@ impl ShardedEngine {
                 }
             })?;
             let seed = algorithm_seed(shard_epoch_seed(base_seed, shard as u32, epoch));
-            let tree = match mode {
-                HandoverMode::Cold => kind.instantiate(occupancy, seed, &[]),
-                HandoverMode::Warm => {
-                    let remap = carry_remap(&old, self.log.current(), shard as u32);
-                    let state = self.shards[shard]
-                        .tree
-                        .export_state()
-                        .carried_into(geometry, &remap);
-                    kind.instantiate_warm(occupancy, seed, &[], &state)
-                }
-            }
-            .map_err(|error| ServeError::Tree {
-                shard: shard as u32,
-                error,
-            })?;
+            let remap = carry_remap(&old, self.log.current(), shard as u32);
+            let state = self.shards[shard]
+                .tree
+                .export_state()
+                .carried_into(geometry, &remap);
+            let tree = kind
+                .instantiate_warm(occupancy, seed, &[], &state)
+                .map_err(|error| ServeError::Tree {
+                    shard: shard as u32,
+                    error,
+                })?;
             rebuilt_nodes += (1u64 << levels) - 1;
             self.shards[shard].tree = tree;
         }
@@ -590,6 +553,21 @@ impl ShardedEngine {
         Ok(())
     }
 
+    /// [`ShardedEngine::reshard`], under the name callers that pass a
+    /// [`HandoverMode`] use. Warm carry is the only handover, so the mode
+    /// changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// See [`ShardedEngine::reshard`].
+    pub fn reshard_with(
+        &mut self,
+        plan: ReshardPlan,
+        _mode: HandoverMode,
+    ) -> Result<(), ServeError> {
+        self.reshard(plan)
+    }
+
     /// Fires every manual event that is due at the current stream position
     /// (all remaining ones when `all` is set, at the end of a run).
     fn fire_due_manual_events(&mut self, all: bool) -> Result<(), ServeError> {
@@ -613,11 +591,12 @@ impl ShardedEngine {
     /// a drain, reshard frames run the full handover protocol, and sender
     /// shutdown triggers a final drain.
     ///
-    /// A message naming an element outside the universe, or a reshard plan
-    /// naming a shard out of range, comes from a misbehaving client, not
-    /// from the engine: it is rejected whole — no prefix of a burst is
-    /// applied — counted in the registry's `ingest_rejected`, and serving
-    /// goes on.
+    /// A message naming an element outside the universe, a reshard plan
+    /// naming a shard out of range, or any reshard sent to an engine of an
+    /// offline algorithm (which has no rebuild recipe) comes from a
+    /// misbehaving client, not from the engine: it is rejected whole — no
+    /// prefix of a burst is applied — counted in the registry's
+    /// `ingest_rejected`, and serving goes on.
     ///
     /// # Errors
     ///
@@ -633,15 +612,17 @@ impl ShardedEngine {
                 IngestMessage::Request(element) => self.submit(element)?,
                 IngestMessage::Burst(burst) => self.submit_burst(&burst)?,
                 IngestMessage::Flush => self.drain()?,
-                IngestMessage::Reshard(plan, mode) => self.reshard_with(plan, mode)?,
+                IngestMessage::Reshard(plan, _) => self.reshard(plan)?,
             }
         }
         self.drain()
     }
 
-    /// Whether every element and shard `message` names exists. The
-    /// universe and the shard count never change across epochs, so one
-    /// check before the message is applied covers all of it.
+    /// Whether every element and shard `message` names exists, and, for a
+    /// reshard, whether the engine can rebuild its trees at all (offline
+    /// engines cannot). The universe and the shard count never change
+    /// across epochs, so one check before the message is applied covers
+    /// all of it.
     fn admits(&self, message: &IngestMessage) -> bool {
         let partition = self.log.current();
         let known = |element: &ElementId| element.index() < partition.universe();
@@ -649,10 +630,13 @@ impl ShardedEngine {
             IngestMessage::Request(element) => known(element),
             IngestMessage::Burst(burst) => burst.iter().all(known),
             IngestMessage::Flush => true,
-            IngestMessage::Reshard(plan, _) => plan
-                .moves()
-                .iter()
-                .all(|(element, shard)| known(element) && *shard < partition.shards()),
+            IngestMessage::Reshard(plan, _) => {
+                self.rebuild.is_some()
+                    && plan
+                        .moves()
+                        .iter()
+                        .all(|(element, shard)| known(element) && *shard < partition.shards())
+            }
         }
     }
 
@@ -958,12 +942,31 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ServeError::ReshardUnsupported { .. }));
         assert!(err.to_string().contains("cannot reshard"));
+        let err = engine
+            .reshard_with(ReshardPlan::empty(), HandoverMode::Warm)
+            .unwrap_err();
+        assert!(matches!(err, ServeError::ReshardUnsupported { .. }));
         assert_eq!(engine.epoch(), 0);
-        // The rejected reshard leaves the engine serving its scenario.
-        engine
-            .submit_burst(&sharded.stream().collect::<Vec<_>>())
-            .unwrap();
-        assert_eq!(engine.finish().unwrap().requests, 3_000);
+
+        // A `Reshard` frame mid-stream is a rejected message, not a fatal
+        // engine error: the queue keeps serving the scenario to the end.
+        let (sender, queue) = ingest_channel_with_metrics(8, Arc::clone(engine.metrics()));
+        let requests: Vec<ElementId> = sharded.stream().collect();
+        let producer = std::thread::spawn(move || {
+            let (head, tail) = requests.split_at(1_500);
+            sender.send_burst(head.to_vec()).unwrap();
+            sender
+                .reshard(ReshardPlan::new([(ElementId::new(0), 1)]))
+                .unwrap();
+            sender.send_burst(tail.to_vec()).unwrap();
+        });
+        engine.serve_queue(&queue).unwrap();
+        producer.join().unwrap();
+        assert_eq!(engine.metrics().ingest_rejected.get(), 1);
+        assert_eq!(engine.epoch(), 0);
+        let report = engine.finish().unwrap();
+        assert_eq!(report.requests, 3_000);
+        assert_eq!(report.epoch_fingerprints.len(), 1);
     }
 
     #[test]
@@ -984,10 +987,7 @@ mod tests {
         let before = addresses(&engine);
         // The plan touches shards 0 (source) and 1 (destination) only.
         engine
-            .reshard_with(
-                ReshardPlan::new([(ElementId::new(0), 1)]),
-                HandoverMode::Warm,
-            )
+            .reshard(ReshardPlan::new([(ElementId::new(0), 1)]))
             .unwrap();
         let after = addresses(&engine);
         // Untouched shards keep the exact same live tree object — zero
@@ -1018,7 +1018,6 @@ mod tests {
             AlgorithmKind::RandomPush,
         ] {
             let mut sharded = scenario(algorithm, ShardRouter::Hash);
-            sharded.handover = HandoverMode::Warm;
             sharded.reshard = satn_sim::ReshardSchedule::Manual(vec![
                 ReshardEvent {
                     at: 1_000,
@@ -1050,22 +1049,20 @@ mod tests {
     #[test]
     fn migrate_trace_detail_counts_touched_shards() {
         let sharded = scenario(AlgorithmKind::RotorPush, ShardRouter::Range);
-        for mode in [HandoverMode::Cold, HandoverMode::Warm] {
-            let mut engine = engine(&sharded, Parallelism::Serial);
-            engine
-                .reshard_with(ReshardPlan::new([(ElementId::new(0), 1)]), mode)
-                .unwrap();
-            let migrate = engine
-                .tracer()
-                .stamps()
-                .into_iter()
-                .find(|stamp| stamp.kind == TraceKind::ReshardMigrate)
-                .expect("a reshard records a migrate span");
-            assert_eq!(
-                migrate.detail, 2,
-                "{mode} migrate detail must be the touched-shard count, not migration cost"
-            );
-        }
+        let mut engine = engine(&sharded, Parallelism::Serial);
+        engine
+            .reshard(ReshardPlan::new([(ElementId::new(0), 1)]))
+            .unwrap();
+        let migrate = engine
+            .tracer()
+            .stamps()
+            .into_iter()
+            .find(|stamp| stamp.kind == TraceKind::ReshardMigrate)
+            .expect("a reshard records a migrate span");
+        assert_eq!(
+            migrate.detail, 2,
+            "migrate detail must be the touched-shard count, not migration cost"
+        );
     }
 
     #[test]

@@ -39,9 +39,9 @@ pub enum IngestMessage {
     /// A reshard control frame: the engine performs the full deterministic
     /// handover — drain fence, element migration, epoch bump — before
     /// reading further input, so resharding composes with in-flight bursts
-    /// exactly like a flush does. The [`HandoverMode`] selects cold
-    /// (rebuild every shard tree fresh) or warm (carry exported
-    /// rotor/recency state, leave untouched shards' trees alone).
+    /// exactly like a flush does. Warm carry is the only handover, so the
+    /// [`HandoverMode`] is always `Warm` and changes nothing; it stays for
+    /// code that destructures the message.
     Reshard(ReshardPlan, HandoverMode),
 }
 
@@ -82,9 +82,9 @@ pub trait Ingest {
     /// Same contract as [`Ingest::send`].
     fn flush(&mut self) -> Result<(), ServeError>;
 
-    /// Requests a reshard in the given [`HandoverMode`]: every request
-    /// submitted before this call is served under the old epoch, every
-    /// request after it under the new one.
+    /// Requests a reshard: every request submitted before this call is
+    /// served under the old epoch, every request after it under the new
+    /// one. Warm carry is the only handover, so `mode` changes nothing.
     ///
     /// # Errors
     ///
@@ -222,16 +222,15 @@ impl IngestSender {
         self.send_message(IngestMessage::Flush)
     }
 
-    /// Asks the engine to reshard in the given [`HandoverMode`]: every
-    /// request enqueued before this frame is served under the old epoch
-    /// (the handover starts with a drain fence), every request after it
-    /// under the new one.
+    /// Asks the engine to reshard: every request enqueued before this
+    /// frame is served under the old epoch (the handover starts with a
+    /// drain fence), every request after it under the new one.
     ///
     /// # Errors
     ///
     /// [`ServeError::Closed`] if the consumer has been dropped.
-    pub fn reshard(&self, plan: ReshardPlan, mode: HandoverMode) -> Result<(), ServeError> {
-        self.send_message(IngestMessage::Reshard(plan, mode))
+    pub fn reshard(&self, plan: ReshardPlan) -> Result<(), ServeError> {
+        self.send_message(IngestMessage::Reshard(plan, HandoverMode::Warm))
     }
 
     /// Answers a lookup from the attached [`SnapshotReader`] — never touches
@@ -272,8 +271,8 @@ impl Ingest for IngestSender {
         IngestSender::flush(self)
     }
 
-    fn reshard(&mut self, plan: &ReshardPlan, mode: HandoverMode) -> Result<(), ServeError> {
-        IngestSender::reshard(self, plan.clone(), mode)
+    fn reshard(&mut self, plan: &ReshardPlan, _mode: HandoverMode) -> Result<(), ServeError> {
+        IngestSender::reshard(self, plan.clone())
     }
 
     fn lookup(&mut self, element: ElementId) -> Result<LookupAnswer, ServeError> {

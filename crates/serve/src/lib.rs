@@ -29,7 +29,9 @@
 //!   fence** (buffered batches served under the closing epoch, boundary
 //!   fingerprints recorded) → **migrate** (moved elements deleted from
 //!   their source trees and re-inserted at their destinations in canonical
-//!   element order, each paying its access cost) → **epoch bump** (log +
+//!   element order, each paying its access cost; touched shards carry their
+//!   rotor/recency state, untouched ones keep their live trees) → **epoch
+//!   bump** (log +
 //!   ledger). Also reachable as a [`ReshardPlan`] control frame through the
 //!   ingest queue, or automatically via a load-adaptive [`ReshardPolicy`],
 //! * [`SourceShardedEngine`] — the ego-tree-per-source mode backed by
@@ -141,8 +143,8 @@ pub use satn_obs::{EngineMetrics, MetricsSnapshot, TraceEvent, TraceKind, TraceR
 pub use satn_sim::{ReshardSchedule, ShardedReplay, ShardedScenario};
 pub use satn_tree::{EpochCostSummary, MigrationCost, ShardedCostSummary};
 pub use satn_workloads::shard::{
-    EpochedPartition, HandoverMode, ParseHandoverError, Partition, ReshardError, ReshardEvent,
-    ReshardPlan, ReshardPolicy, ShardRouter,
+    EpochedPartition, HandoverMode, Partition, ReshardError, ReshardEvent, ReshardPlan,
+    ReshardPolicy, ShardRouter,
 };
 
 // Engines cross thread boundaries wholesale in server settings (built on one

@@ -9,7 +9,7 @@
 //! | `0` | `Request`    | element id (`u32`)                             |
 //! | `1` | `Burst`      | count (`u32`), then count element ids (`u32`)  |
 //! | `2` | `Flush`      | empty                                          |
-//! | `3` | `Reshard`    | count (`u32`), handover mode (`u8`: 0 cold, 1 warm), then count moves (`u32` element, `u32` destination shard) |
+//! | `3` | `Reshard`    | count (`u32`), then count moves (`u32` element, `u32` destination shard) |
 //! | `4` | `Ack`        | acknowledged frame count (`u64`), server → client |
 //! | `5` | `Lookup`     | element id (`u32`) — snapshot read, client → server |
 //! | `6` | `Found`      | element (`u32`), shard (`u32`), node (`u32`), epoch (`u32`), served (`u64`), server → client |
@@ -60,10 +60,9 @@ pub const MAX_FRAME_BODY: u32 = 8 << 20;
 pub const MAX_BURST_ELEMENTS: usize = (MAX_FRAME_BODY as usize - 5) / 4;
 
 /// Most moves a single `Reshard` frame can carry without its body exceeding
-/// [`MAX_FRAME_BODY`] (tag byte + count + handover-mode byte + 8 bytes per
-/// move). A plan is an atomic unit — it cannot be split — so a longer plan
-/// is an encode error.
-pub const MAX_PLAN_MOVES: usize = (MAX_FRAME_BODY as usize - 6) / 8;
+/// [`MAX_FRAME_BODY`] (tag byte + count + 8 bytes per move). A plan is an
+/// atomic unit — it cannot be split — so a longer plan is an encode error.
+pub const MAX_PLAN_MOVES: usize = (MAX_FRAME_BODY as usize - 5) / 8;
 
 const TAG_REQUEST: u8 = 0;
 const TAG_BURST: u8 = 1;
@@ -238,14 +237,10 @@ pub fn encode_frame(frame: &Frame, buf: &mut Vec<u8>) -> Result<(), WireError> {
                 }
             }
             Frame::Ingest(IngestMessage::Flush) => buf.push(TAG_FLUSH),
-            Frame::Ingest(IngestMessage::Reshard(plan, mode)) => {
-                let count = check_body_fits(plan.len(), 8, 6)?;
+            Frame::Ingest(IngestMessage::Reshard(plan, _)) => {
+                let count = check_body_fits(plan.len(), 8, 5)?;
                 buf.push(TAG_RESHARD);
                 push_u32(buf, count);
-                buf.push(match mode {
-                    HandoverMode::Cold => 0,
-                    HandoverMode::Warm => 1,
-                });
                 for &(element, shard) in plan.moves() {
                     push_u32(buf, element.index());
                     push_u32(buf, shard);
@@ -327,21 +322,6 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
         TAG_FLUSH => Frame::Ingest(IngestMessage::Flush),
         TAG_RESHARD => {
             let count = take_u32(&mut payload)? as usize;
-            let Some((&mode_byte, rest)) = payload.split_first() else {
-                return Err(WireError::Malformed {
-                    reason: "reshard frame is missing its handover mode",
-                });
-            };
-            payload = rest;
-            let mode = match mode_byte {
-                0 => HandoverMode::Cold,
-                1 => HandoverMode::Warm,
-                _ => {
-                    return Err(WireError::Malformed {
-                        reason: "unknown handover mode byte",
-                    })
-                }
-            };
             if payload.len() != count * 8 {
                 return Err(WireError::Malformed {
                     reason: "reshard payload length disagrees with its move count",
@@ -354,7 +334,7 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
                 moves.push((element, shard));
             }
             let plan = ReshardPlan::try_new(moves).map_err(WireError::DuplicateMove)?;
-            Frame::Ingest(IngestMessage::Reshard(plan, mode))
+            Frame::Ingest(IngestMessage::Reshard(plan, HandoverMode::Warm))
         }
         TAG_ACK => {
             let seq = take_u64(&mut payload)?;
@@ -487,7 +467,7 @@ mod tests {
         roundtrip(Frame::Ingest(IngestMessage::Flush));
         roundtrip(Frame::Ingest(IngestMessage::Reshard(
             ReshardPlan::empty(),
-            HandoverMode::Cold,
+            HandoverMode::Warm,
         )));
         roundtrip(Frame::Ingest(IngestMessage::Reshard(
             ReshardPlan::new([(ElementId::new(3), 1), (ElementId::new(0), 2)]),
@@ -570,7 +550,7 @@ mod tests {
             .collect();
         let plan = ReshardPlan::new(moves);
         let err = encode_frame(
-            &Frame::Ingest(IngestMessage::Reshard(plan, HandoverMode::Cold)),
+            &Frame::Ingest(IngestMessage::Reshard(plan, HandoverMode::Warm)),
             &mut Vec::new(),
         )
         .unwrap_err();
@@ -640,7 +620,6 @@ mod tests {
     fn duplicate_reshard_moves_error_instead_of_panicking() {
         let mut body = vec![TAG_RESHARD];
         body.extend_from_slice(&2u32.to_le_bytes());
-        body.push(0); // handover mode: cold
         for _ in 0..2 {
             body.extend_from_slice(&5u32.to_le_bytes()); // element 5, twice
             body.extend_from_slice(&1u32.to_le_bytes());
@@ -648,31 +627,6 @@ mod tests {
         assert!(matches!(
             decode_body(&body),
             Err(WireError::DuplicateMove(element)) if element == ElementId::new(5)
-        ));
-    }
-
-    #[test]
-    fn unknown_handover_modes_are_malformed_not_a_panic() {
-        let mut body = vec![TAG_RESHARD];
-        body.extend_from_slice(&0u32.to_le_bytes());
-        body.push(7); // neither cold (0) nor warm (1)
-        assert!(matches!(
-            decode_body(&body),
-            Err(WireError::Malformed {
-                reason: "unknown handover mode byte"
-            })
-        ));
-        // A mode-less (pre-handover-protocol) reshard frame is malformed too.
-        let body = {
-            let mut body = vec![TAG_RESHARD];
-            body.extend_from_slice(&0u32.to_le_bytes());
-            body
-        };
-        assert!(matches!(
-            decode_body(&body),
-            Err(WireError::Malformed {
-                reason: "reshard frame is missing its handover mode"
-            })
         ));
     }
 }

@@ -140,7 +140,7 @@ fn surviving_senders_keep_the_queue_open() {
         Err(ServeError::Closed)
     ));
     assert!(matches!(
-        Ingest::reshard(&mut sender, &ReshardPlan::empty(), HandoverMode::Cold),
+        Ingest::reshard(&mut sender, &ReshardPlan::empty(), HandoverMode::Warm),
         Err(ServeError::Closed)
     ));
     assert!(ServeError::Closed.is_disconnect());
@@ -185,7 +185,7 @@ fn reshard_frames_interleave_cleanly_with_bursts() {
     // Equivalent direct run: submit 900, reshard, submit the rest.
     let mut direct = engine(&scenario, Parallelism::Threads(2));
     direct.submit_burst(&requests[..900]).unwrap();
-    direct.reshard_with(plan, HandoverMode::Warm).unwrap();
+    direct.reshard(plan).unwrap();
     direct.submit_burst(&requests[900..]).unwrap();
     let direct = direct.finish().unwrap();
 

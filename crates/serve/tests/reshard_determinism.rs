@@ -15,8 +15,8 @@
 use proptest::prelude::*;
 use satn_core::AlgorithmKind;
 use satn_serve::{
-    ingest_channel_with_metrics, EngineReport, HandoverMode, Parallelism, ReshardPlan,
-    ReshardPolicy, ReshardSchedule, ShardedEngineConfig,
+    ingest_channel_with_metrics, EngineReport, Parallelism, ReshardPlan, ReshardPolicy,
+    ReshardSchedule, ShardedEngineConfig,
 };
 use satn_sim::{ReshardEvent, ShardRouter, ShardedScenario, SimRunner, WorkloadSpec};
 use satn_tree::ElementId;
@@ -93,10 +93,12 @@ fn assert_matches_epoch_replay(
     report
 }
 
-/// The acceptance criterion: S = 4 with a policy resharding mid-stream,
-/// serial / 2 / auto thread counts via the ingestion queue, byte-identical
-/// to the epoch-segmented serial reference replay (per-epoch fingerprints
-/// and the merged `ShardedCostSummary` including migration cost).
+/// The acceptance criterion: S = 4 with a policy resharding mid-stream —
+/// rotor/recency state carried across every epoch, untouched shards kept
+/// live — serial / 2 / auto thread counts via the ingestion queue,
+/// byte-identical to the epoch-segmented serial reference replay
+/// (per-epoch fingerprints and the merged `ShardedCostSummary` including
+/// migration cost).
 #[test]
 fn four_shard_resharding_run_matches_the_epoch_segmented_replay() {
     let mut scenario =
@@ -115,36 +117,6 @@ fn four_shard_resharding_run_matches_the_epoch_segmented_replay() {
     let auto = assert_matches_epoch_replay(&scenario, Parallelism::Auto, 2_048, true);
     assert_eq!(serial, threaded);
     assert_eq!(serial, auto);
-}
-
-/// The warm acceptance criterion: the same policy-resharding run under
-/// [`HandoverMode::Warm`] — rotor/recency state carried across every epoch,
-/// untouched shards kept live — still matches the (warm) epoch-segmented
-/// serial reference byte for byte at serial / 2 / auto thread counts.
-#[test]
-fn warm_resharding_run_matches_the_warm_epoch_segmented_replay() {
-    let mut scenario =
-        ShardedScenario::hot_shard(AlgorithmKind::RotorPush, 4, 6, 10_000, 2022, 10, 2.0);
-    scenario.handover = HandoverMode::Warm;
-    scenario.reshard = ReshardSchedule::Policy(ReshardPolicy::MoveHottest {
-        every: 500,
-        max_moves: 16,
-    });
-    let serial = assert_matches_epoch_replay(&scenario, Parallelism::Serial, 512, false);
-    assert!(serial.epoch_fingerprints.len() > 2);
-    assert!(serial.migration.moved > 0);
-    let threaded = assert_matches_epoch_replay(&scenario, Parallelism::Threads(2), 512, true);
-    let auto = assert_matches_epoch_replay(&scenario, Parallelism::Auto, 2_048, true);
-    assert_eq!(serial, threaded);
-    assert_eq!(serial, auto);
-
-    // Warm and cold handovers migrate the same elements at the same cost —
-    // only the carried tree state (and the work to rebuild it) differs.
-    let mut cold = scenario.clone();
-    cold.handover = HandoverMode::Cold;
-    let cold = assert_matches_epoch_replay(&cold, Parallelism::Serial, 512, false);
-    assert_eq!(serial.migration, cold.migration);
-    assert_eq!(serial.boundaries, cold.boundaries);
 }
 
 /// Explicit `Reshard` ingest frames interleaved with bursts are the same
@@ -186,9 +158,7 @@ fn reshard_frames_interleaved_with_bursts_match_the_manual_schedule() {
             sent += chunk.len();
             for (at, plan) in &frames {
                 if *at == sent {
-                    // The frame carries the warm mode explicitly; the engine
-                    // itself was built with the cold default.
-                    sender.reshard(plan.clone(), HandoverMode::Warm).unwrap();
+                    sender.reshard(plan.clone()).unwrap();
                 }
             }
             if sent % 1_000 == 0 {
@@ -200,9 +170,8 @@ fn reshard_frames_interleaved_with_bursts_match_the_manual_schedule() {
     producer.join().unwrap();
     let report = engine.finish().unwrap();
 
-    // The offline oracle: the same schedule as a warm Manual scenario.
+    // The offline oracle: the same schedule as a Manual scenario.
     let mut manual = base.clone();
-    manual.handover = HandoverMode::Warm;
     manual.reshard = ReshardSchedule::Manual(
         positions
             .iter()
@@ -304,7 +273,6 @@ proptest! {
         drain_threshold in 1usize..2_000,
         threads in 1usize..5,
         via_queue in any::<bool>(),
-        warm in any::<bool>(),
     ) {
         // `ALL` ends with the offline Static-Opt at no fixed index, so
         // filter rather than slice.
@@ -322,7 +290,6 @@ proptest! {
             seed,
         );
         scenario.router = ShardRouter::ALL[router_index];
-        scenario.handover = if warm { HandoverMode::Warm } else { HandoverMode::Cold };
         scenario.reshard = ReshardSchedule::Policy(ReshardPolicy::MoveHottest {
             every,
             max_moves,

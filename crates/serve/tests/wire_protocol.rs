@@ -227,7 +227,7 @@ fn reshard_frames_interleave_with_flushes_over_the_wire() {
 
     let mut direct = self::engine(&scenario, Parallelism::Threads(2));
     direct.submit_burst(&requests[..900]).unwrap();
-    direct.reshard_with(plan, HandoverMode::Warm).unwrap();
+    direct.reshard(plan).unwrap();
     direct.submit_burst(&requests[900..]).unwrap();
     let direct = direct.finish().unwrap();
 
@@ -339,7 +339,7 @@ fn foreign_elements_and_shards_are_rejected_without_stopping_the_server() {
     rogue
         .reshard(
             &ReshardPlan::new([(ElementId::new(0), 99)]),
-            HandoverMode::Cold,
+            HandoverMode::Warm,
         )
         .unwrap();
     assert_eq!(rogue.finish().unwrap(), 4);

@@ -16,8 +16,8 @@ use crate::scenario::{Checkpoints, InitialPlacement, Scenario, WorkloadSpec};
 use satn_core::{AlgorithmKind, WarmState};
 use satn_tree::{snapshot, CompleteTree, ElementId, Occupancy, ShardedCostSummary};
 use satn_workloads::shard::{
-    carry_remap, derive_schedule, handover, handover_touched, shard_epoch_seed, touched_shards,
-    EpochedPartition, HandoverMode, Partition, ReshardEvent, ReshardPolicy, ShardRouter,
+    carry_remap, derive_schedule, handover, shard_epoch_seed, touched_shards, EpochedPartition,
+    HandoverMode, Partition, ReshardEvent, ReshardPolicy, ShardRouter,
 };
 use satn_workloads::Workload;
 
@@ -70,10 +70,11 @@ pub struct ShardedScenario {
     pub initial: InitialPlacement,
     /// When (and how) the partition reshards mid-stream.
     pub reshard: ReshardSchedule,
-    /// How shard trees cross epoch boundaries: [`HandoverMode::Cold`]
-    /// reseeds every tree fresh per epoch, [`HandoverMode::Warm`] carries
-    /// each tree's exported rotor/recency/generator state through the
-    /// handover remap so the algorithm resumes exactly where it stopped.
+    /// How shard trees cross epoch boundaries. [`HandoverMode::Warm`] is
+    /// the only mode: every tree's exported rotor/recency/generator state
+    /// is carried through the handover remap, so the algorithm resumes
+    /// exactly where it stopped, and untouched shards keep their live
+    /// trees. The field remains for callers that set it; nothing reads it.
     pub handover: HandoverMode,
 }
 
@@ -98,7 +99,7 @@ impl ShardedScenario {
             router: ShardRouter::Hash,
             initial: InitialPlacement::Random,
             reshard: ReshardSchedule::Static,
-            handover: HandoverMode::Cold,
+            handover: HandoverMode::Warm,
         }
     }
 
@@ -139,10 +140,6 @@ impl ShardedScenario {
             ReshardSchedule::Static => String::new(),
             ReshardSchedule::Manual(events) => format!("/reshard-manual({})", events.len()),
             ReshardSchedule::Policy(policy) => format!("/reshard-every-{}", policy.every()),
-        };
-        let reshard = match self.handover {
-            HandoverMode::Cold => reshard,
-            HandoverMode::Warm => format!("{reshard}/warm"),
         };
         format!(
             "sharded/{}/{}/{}/S{}xL{}/s{}{}",
@@ -238,7 +235,7 @@ impl ShardedScenario {
     pub fn shard_scenarios(&self) -> Vec<Scenario> {
         let partition = self.partition();
         let split = partition.split_stream(self.stream());
-        self.epoch_scenarios(0, &partition, split, None, None)
+        self.epoch_scenarios(0, &partition, split, None)
     }
 
     /// The epoch log and boundary positions of this scenario's reshard
@@ -284,16 +281,14 @@ impl ShardedScenario {
     /// localized subsequence on a tree sized by the epoch's partition,
     /// seeded with [`ShardedScenario::shard_epoch_seed`]. Epoch 0 starts
     /// from the scenario's initial placement; later epochs start from the
-    /// explicit post-handover placements — plus, under
-    /// [`HandoverMode::Warm`], the per-shard warm states carried through the
-    /// handover remap.
+    /// `carried` post-handover placements and the per-shard warm states
+    /// carried through the handover remap.
     fn epoch_scenarios(
         &self,
         epoch: u32,
         partition: &Partition,
         split: Vec<Vec<ElementId>>,
-        placements: Option<Vec<Vec<ElementId>>>,
-        warm: Option<Vec<WarmState>>,
+        carried: Option<(Vec<Vec<ElementId>>, Vec<WarmState>)>,
     ) -> Vec<Scenario> {
         split
             .into_iter()
@@ -308,9 +303,12 @@ impl ShardedScenario {
                     capacity,
                     subsequence,
                 );
-                let initial = match &placements {
-                    None => self.initial.clone(),
-                    Some(placements) => InitialPlacement::Fixed(placements[shard as usize].clone()),
+                let (initial, warm) = match &carried {
+                    None => (self.initial.clone(), None),
+                    Some((placements, states)) => (
+                        InitialPlacement::Fixed(placements[shard as usize].clone()),
+                        Some(states[shard as usize].clone()),
+                    ),
                 };
                 Scenario {
                     algorithm: self.algorithm,
@@ -320,7 +318,7 @@ impl ShardedScenario {
                     seed: self.shard_epoch_seed(shard, epoch),
                     checkpoints: Checkpoints::final_only(),
                     initial,
-                    warm: warm.as_ref().map(|states| states[shard as usize].clone()),
+                    warm,
                 }
             })
             .collect()
@@ -364,52 +362,37 @@ impl ShardedScenario {
         let mut warm_states: Vec<WarmState> = Vec::new();
         for (split, epoch) in splits.into_iter().zip(log.epochs()) {
             let partition = epoch.partition();
-            let (placements, warm) = if epoch.epoch() == 0 {
-                (None, None)
+            let carried = if epoch.epoch() == 0 {
+                None
             } else {
                 let previous = log.epoch(epoch.epoch() - 1).partition();
                 let refs: Vec<&Occupancy> = occupancies.iter().collect();
-                let (placements, warm) = match self.handover {
-                    HandoverMode::Cold => {
-                        let outcome = handover(previous, partition, &refs);
-                        accounting.begin_epoch(outcome.migration);
-                        (outcome.placements, None)
+                let touched = touched_shards(previous, partition);
+                let mut outcome = handover(previous, partition, &refs, &touched);
+                accounting.begin_epoch(outcome.migration);
+                // An untouched shard keeps its live tree verbatim —
+                // including padding elements wherever push-downs drifted
+                // them — because the engine never rebuilds it. The replay
+                // therefore seeds those shards from the live occupancy.
+                for (shard, placement) in outcome.placements.iter_mut().enumerate() {
+                    if !touched[shard] {
+                        *placement = occupancies[shard].placement_in_heap_order();
                     }
-                    HandoverMode::Warm => {
-                        let touched = touched_shards(previous, partition);
-                        let mut outcome = handover_touched(previous, partition, &refs, &touched);
-                        accounting.begin_epoch(outcome.migration);
-                        // An untouched shard keeps its live tree verbatim —
-                        // including padding elements wherever push-downs
-                        // drifted them — because the warm engine never
-                        // rebuilds it. The replay therefore seeds those
-                        // shards from the live occupancy, not from the
-                        // canonical placement a full handover would produce
-                        // (which re-packs padding into free nodes).
-                        for (shard, placement) in outcome.placements.iter_mut().enumerate() {
-                            if !touched[shard] {
-                                *placement = occupancies[shard].placement_in_heap_order();
-                            }
-                        }
-                        // Carry every shard's exported state through the
-                        // handover remap onto the epoch's (possibly resized)
-                        // tree; untouched shards carry under the identity
-                        // remap, i.e. verbatim.
-                        let warm = (0..self.shards)
-                            .map(|shard| {
-                                let remap = carry_remap(previous, partition, shard);
-                                let tree = CompleteTree::with_levels(partition.shard_levels(shard))
-                                    .expect("partitions produce valid shard depths");
-                                warm_states[shard as usize].carried_into(tree, &remap)
-                            })
-                            .collect();
-                        (outcome.placements, Some(warm))
-                    }
-                };
-                (Some(placements), warm)
+                }
+                // Carry every shard's exported state through the handover
+                // remap onto the epoch's (possibly resized) tree; untouched
+                // shards carry under the identity remap, i.e. verbatim.
+                let warm = (0..self.shards)
+                    .map(|shard| {
+                        let remap = carry_remap(previous, partition, shard);
+                        let tree = CompleteTree::with_levels(partition.shard_levels(shard))
+                            .expect("partitions produce valid shard depths");
+                        warm_states[shard as usize].carried_into(tree, &remap)
+                    })
+                    .collect();
+                Some((outcome.placements, warm))
             };
-            let epoch_scenarios =
-                self.epoch_scenarios(epoch.epoch(), partition, split, placements, warm);
+            let epoch_scenarios = self.epoch_scenarios(epoch.epoch(), partition, split, carried);
             let mut epoch_results = Vec::with_capacity(epoch_scenarios.len());
             occupancies.clear();
             warm_states.clear();
@@ -467,7 +450,7 @@ impl ShardedScenario {
         );
         let partition = self.partition();
         let split = partition.split_stream(self.stream().take(prefix));
-        self.epoch_scenarios(0, &partition, split, None, None)
+        self.epoch_scenarios(0, &partition, split, None)
             .iter()
             .map(|scenario| {
                 runner
@@ -752,7 +735,6 @@ mod tests {
                 at: 800,
                 plan: ReshardPlan::new([(ElementId::new(0), 3), (ElementId::new(1), 3)]),
             }]);
-            sharded.handover = HandoverMode::Warm;
             let runner = SimRunner::new();
             let replay = sharded.epoch_replay(&runner).unwrap();
             assert_eq!(replay.epochs(), 2, "{algorithm}");
@@ -768,25 +750,7 @@ mod tests {
             }
             // The whole warm derivation is deterministic.
             assert_eq!(replay, sharded.epoch_replay(&runner).unwrap());
-            // The mode only matters at boundaries: epoch 0 matches the cold
-            // replay byte for byte.
-            let mut cold = sharded.clone();
-            cold.handover = HandoverMode::Cold;
-            let cold_replay = cold.epoch_replay(&runner).unwrap();
-            assert_eq!(replay.results[0], cold_replay.results[0], "{algorithm}");
-            assert_eq!(
-                replay.accounting.migration_total(),
-                cold_replay.accounting.migration_total(),
-                "warm handover prices the same migration work"
-            );
         }
-    }
-
-    #[test]
-    fn warm_mode_shows_up_in_the_name() {
-        let mut sharded = scenario(ShardRouter::Hash);
-        sharded.handover = HandoverMode::Warm;
-        assert!(sharded.name().ends_with("/warm"));
     }
 
     #[test]

@@ -664,74 +664,20 @@ impl EpochedPartition {
 
 /// How a reshard handover reconstitutes the per-shard trees.
 ///
-/// The placements are identical either way — the handover protocol is a
-/// pure function of `(old, new, occupancies)` — the modes differ only in
-/// how much work reaches them and which internal state the new trees start
-/// from.
+/// Warm carry is the only handover: untouched shards keep their live trees
+/// verbatim (zero work), and touched shards carry their exported warm state
+/// (rotor pointers, recency, generator position) across the canonical
+/// delete/re-insert, so the handover cost scales with the moved elements,
+/// not the universe. Rotor walks stay deterministic from any initial rotor
+/// configuration (Angel & Holroyd), so the carried trees are as
+/// reproducible as freshly seeded ones. The type remains so callers that
+/// name the mode keep compiling; nothing branches on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum HandoverMode {
-    /// Every shard tree is rebuilt from scratch from the post-handover
-    /// placement, its internal state reseeded per `(shard, epoch)`:
-    /// O(total elements) per handover regardless of how little the plan
-    /// moves.
+    /// Carry rotor/recency/generator state across the boundary and skip
+    /// untouched shards.
     #[default]
-    Cold,
-    /// Untouched shards keep their live trees verbatim (zero work); touched
-    /// shards carry their exported warm state (rotor pointers, recency,
-    /// generator position) across the canonical delete/re-insert: the
-    /// handover cost scales with the moved elements, not the universe.
     Warm,
-}
-
-impl HandoverMode {
-    /// Both modes, in a stable order (cold first — the historical default).
-    pub const ALL: [HandoverMode; 2] = [HandoverMode::Cold, HandoverMode::Warm];
-
-    /// A short stable label used in reports, flags, and scenario names.
-    pub fn label(self) -> &'static str {
-        match self {
-            HandoverMode::Cold => "cold",
-            HandoverMode::Warm => "warm",
-        }
-    }
-}
-
-impl fmt::Display for HandoverMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Error returned when parsing an unknown handover mode name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseHandoverError {
-    input: String,
-}
-
-impl fmt::Display for ParseHandoverError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown handover mode {:?} (expected \"cold\" or \"warm\")",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseHandoverError {}
-
-impl FromStr for HandoverMode {
-    type Err = ParseHandoverError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "cold" => Ok(HandoverMode::Cold),
-            "warm" => Ok(HandoverMode::Warm),
-            _ => Err(ParseHandoverError {
-                input: s.to_owned(),
-            }),
-        }
-    }
 }
 
 /// The shards a reshard actually touches: `touched[s]` is `true` iff some
@@ -804,73 +750,45 @@ pub struct Handover {
 }
 
 /// Computes the deterministic handover from partition `old` to partition
-/// `new`, given each shard's pre-handover occupancy.
+/// `new`, given each shard's pre-handover occupancy, for the shards marked
+/// in `touched` (see [`touched_shards`]).
 ///
-/// The protocol, per shard:
+/// The protocol, per touched shard:
 ///
 /// 1. **Delete**: elements leaving the shard vacate their nodes, each paying
 ///    its access cost there (`level + 1`).
-/// 2. **Carry**: elements staying keep their exact nodes (so an untouched
-///    shard's real-element placement is preserved bit for bit). If the
-///    shard's tree shrinks, staying elements stranded beyond the new size
-///    relocate first, in old node order — a free compaction, like the
-///    initial placement.
+/// 2. **Carry**: elements staying keep their exact nodes. If the shard's
+///    tree shrinks, staying elements stranded beyond the new size relocate
+///    first, in old node order — a free compaction, like the initial
+///    placement.
 /// 3. **Insert**: arriving elements, in canonical (increasing global id)
 ///    order, fill the free nodes in increasing node order — shallowest slot
 ///    first — each paying the access cost of the slot it lands in.
 /// 4. **Padding**: unowned local ids fill the remaining nodes in increasing
 ///    order.
 ///
-/// Every step is a pure function of `(old, new, occupancies)`, so the
-/// serving engine and the reference replay derive byte-identical
+/// An untouched shard's entry in `placements` is left empty, signalling
+/// "keep the live tree": its owned set is unchanged, and the live tree
+/// keeps padding wherever push-downs drifted it rather than re-packing it
+/// in canonical order. The migration cost covers every moved element
+/// whatever the mask says — a move's source and destination shards are
+/// touched by definition — so no priced work is ever skipped.
+///
+/// Every step is a pure function of `(old, new, occupancies, touched)`, so
+/// the serving engine and the reference replay derive byte-identical
 /// post-handover states without ever exchanging them.
 ///
 /// # Panics
 ///
-/// Panics if the partitions disagree on universe or shard count, or if an
-/// occupancy is smaller than its shard's owned set.
-pub fn handover(old: &Partition, new: &Partition, occupancies: &[&Occupancy]) -> Handover {
-    handover_filtered(old, new, occupancies, None)
-}
-
-/// The incremental variant of [`handover`]: computes placements only for the
-/// shards marked in `touched` (see [`touched_shards`]); an untouched shard's
-/// entry in `placements` is left empty, signalling "keep the live tree".
-/// Note that keeping the live tree is *not* byte-identical to the full
-/// handover's placement: the full handover re-packs padding ids into free
-/// nodes in canonical order, while the live tree keeps padding wherever
-/// push-downs drifted it. A warm replay must therefore seed untouched
-/// shards from the live occupancy (real elements agree either way; only
-/// padding differs).
-///
-/// The migration cost is identical to the full handover's: every moved
-/// element's source and destination shard is touched by definition, so no
-/// priced work is skipped.
-///
-/// # Panics
-///
-/// Panics under the conditions of [`handover`], or if `touched` does not
-/// have one entry per shard, or if a shard whose owned set changed is
-/// marked untouched.
-pub fn handover_touched(
+/// Panics if the partitions disagree on universe or shard count, if
+/// `occupancies` or `touched` does not have one entry per shard, if an
+/// occupancy is smaller than its shard's owned set, or if a shard whose
+/// owned set changed is marked untouched.
+pub fn handover(
     old: &Partition,
     new: &Partition,
     occupancies: &[&Occupancy],
     touched: &[bool],
-) -> Handover {
-    assert_eq!(
-        touched.len(),
-        old.shards() as usize,
-        "one touched flag per shard is required"
-    );
-    handover_filtered(old, new, occupancies, Some(touched))
-}
-
-fn handover_filtered(
-    old: &Partition,
-    new: &Partition,
-    occupancies: &[&Occupancy],
-    touched: Option<&[bool]>,
 ) -> Handover {
     assert_eq!(
         old.universe(),
@@ -887,6 +805,11 @@ fn handover_filtered(
         old.shards() as usize,
         "one occupancy per shard is required"
     );
+    assert_eq!(
+        touched.len(),
+        old.shards() as usize,
+        "one touched flag per shard is required"
+    );
 
     let mut migration = MigrationCost::ZERO;
     // Delete: each moved element pays its access cost on the source shard.
@@ -900,16 +823,14 @@ fn handover_filtered(
     let shards = old.shards();
     let mut placements = Vec::with_capacity(shards as usize);
     for shard in 0..shards {
-        if let Some(touched) = touched {
-            if !touched[shard as usize] {
-                assert_eq!(
-                    old.owned(shard),
-                    new.owned(shard),
-                    "shard {shard} marked untouched but its owned set changed"
-                );
-                placements.push(Vec::new());
-                continue;
-            }
+        if !touched[shard as usize] {
+            assert_eq!(
+                old.owned(shard),
+                new.owned(shard),
+                "shard {shard} marked untouched but its owned set changed"
+            );
+            placements.push(Vec::new());
+            continue;
         }
         let occupancy = occupancies[shard as usize];
         let old_owned = old.owned(shard);
@@ -1397,7 +1318,7 @@ mod tests {
         let tree = CompleteTree::with_levels(3).unwrap();
         let occupancies: Vec<Occupancy> = (0..3).map(|_| Occupancy::identity(tree)).collect();
         let refs: Vec<&Occupancy> = occupancies.iter().collect();
-        let result = handover(&old, &new, &refs);
+        let result = handover(&old, &new, &refs, &[true; 3]);
 
         // Shard 2 is untouched: placement is its identity occupancy.
         let identity: Vec<ElementId> = (0..7).map(ElementId::new).collect();
@@ -1459,8 +1380,9 @@ mod tests {
         let tree = CompleteTree::with_levels(3).unwrap();
         let occupancies: Vec<Occupancy> = (0..3).map(|_| Occupancy::identity(tree)).collect();
         let refs: Vec<&Occupancy> = occupancies.iter().collect();
-        let full = handover(&old, &new, &refs);
-        let incremental = handover_touched(&old, &new, &refs, &touched);
+        // An all-true mask materializes every shard: the full reference.
+        let full = handover(&old, &new, &refs, &[true; 3]);
+        let incremental = handover(&old, &new, &refs, &touched);
 
         // Identical migration cost, identical placements on touched shards,
         // and an explicit keep-the-live-tree marker on the untouched one.
@@ -1502,17 +1424,6 @@ mod tests {
             assert_eq!(remap[local], Some(local as u32 - 1));
         }
         assert!(remap[8..].iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn handover_mode_labels_roundtrip() {
-        for mode in HandoverMode::ALL {
-            let parsed: HandoverMode = mode.label().parse().unwrap();
-            assert_eq!(parsed, mode);
-            assert_eq!(mode.to_string(), mode.label());
-        }
-        assert_eq!(HandoverMode::default(), HandoverMode::Cold);
-        assert!("lukewarm".parse::<HandoverMode>().is_err());
     }
 
     #[test]
