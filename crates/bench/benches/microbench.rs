@@ -1,6 +1,6 @@
 //! Micro-benchmarks of the building blocks: tree substrate operations, rotor
-//! machinery, the augmented push-down, per-algorithm serve throughput, and
-//! the general-graph rotor walk.
+//! machinery, the augmented push-down, per-algorithm serve throughput,
+//! snapshot publication, and the general-graph rotor walk.
 //!
 //! These do not correspond to a figure of the paper; they document the cost
 //! of the primitives the figure-level experiments are built from.
@@ -13,6 +13,7 @@ use satn_core::{AlgorithmKind, SelfAdjustingTree};
 use satn_rotor::{RotorGraph, RotorState};
 use satn_tree::{
     placement, CompleteTree, CostSummary, ElementId, MarkScratch, MarkedRound, NodeId, Occupancy,
+    TreeSnapshot,
 };
 use satn_workloads::shard::{
     carry_remap, handover, touched_shards, EpochedPartition, Partition, ReshardPlan, ShardRouter,
@@ -186,6 +187,33 @@ fn bench_serve_batch_prefetch(c: &mut Criterion) {
     group.finish();
 }
 
+/// Publishing snapshots of four 2^16-node trees: capturing each tree's
+/// element→node map, against cloning each whole occupancy (both maps).
+fn bench_snapshot_publish(c: &mut Criterion) {
+    let tree = CompleteTree::with_levels(16).unwrap();
+    let mut rng = StdRng::seed_from_u64(2022);
+    let live: Vec<Occupancy> = (0..4)
+        .map(|_| placement::random_occupancy(tree, &mut rng))
+        .collect();
+    let mut group = c.benchmark_group("snapshot-publish");
+    group.sample_size(50);
+
+    group.bench_function("capture", |b| {
+        b.iter(|| {
+            let snapshots: Vec<_> = live.iter().map(TreeSnapshot::capture).collect();
+            black_box(snapshots)
+        })
+    });
+    group.bench_function("clone-occupancy", |b| {
+        b.iter(|| {
+            let copies: Vec<_> = live.iter().map(Occupancy::clone).collect();
+            black_box(copies)
+        })
+    });
+
+    group.finish();
+}
+
 fn bench_serve_throughput(c: &mut Criterion) {
     let tree = CompleteTree::with_levels(LEVELS).unwrap();
     let mut rng = StdRng::seed_from_u64(2022);
@@ -326,6 +354,7 @@ criterion_group!(
     bench_rotor_machinery,
     bench_push_down,
     bench_serve_batch_prefetch,
+    bench_snapshot_publish,
     bench_serve_throughput,
     bench_reshard_handover,
     bench_workload_generation

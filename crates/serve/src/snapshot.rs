@@ -28,7 +28,8 @@
 //! reader drops its clone. A reader's steady-state lookup is one atomic
 //! load (version check) plus two array reads; the tiny publication mutex is
 //! touched only when the version has actually moved — at most once per
-//! drain.
+//! drain. A publication copies each shard's element→node map (four bytes
+//! per element) and nothing else.
 //!
 //! **Determinism stays derived:** reads never mutate, so the write-side
 //! oracle is untouched; and every snapshot is stamped with the number of

@@ -124,6 +124,13 @@ impl Occupancy {
         NodeId::new(self.node_of[element.usize()])
     }
 
+    /// The `nd` map as a slab: entry `e` is the heap index of the node
+    /// currently holding element `e`.
+    #[inline]
+    pub(crate) fn nd_slab(&self) -> &[u32] {
+        &self.node_of
+    }
+
     /// Returns the level of the node currently holding `element`
     /// (the paper's `ℓ(e)`).
     #[inline]

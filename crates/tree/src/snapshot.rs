@@ -7,64 +7,50 @@
 //! the element stored at each node in heap order.
 //!
 //! [`TreeSnapshot`] is the in-memory counterpart: a frozen copy of an
-//! occupancy that answers lookups (`nd`, `el`, levels, access costs) without
-//! ever mutating, built for concurrent read-mostly serving — writers keep
-//! adjusting a live [`Occupancy`] while readers share immutable snapshots of
-//! earlier states.
+//! occupancy's element→node map that answers lookups (nodes, levels, access
+//! costs) without ever mutating, built for concurrent read-mostly serving —
+//! writers keep adjusting a live [`Occupancy`] while readers share immutable
+//! snapshots of earlier states. The node→element map is not copied.
 
 use crate::node::{ElementId, NodeId};
 use crate::occupancy::Occupancy;
 use crate::topology::CompleteTree;
 use std::fmt;
 
-/// An immutable point-in-time view of an [`Occupancy`]: the element↔node
-/// bijection and the topology, frozen at capture time.
+/// An immutable point-in-time view of an [`Occupancy`]: the element→node map
+/// `nd` and the topology, frozen at capture time.
 ///
 /// Snapshots exist so pure lookups can be served concurrently without
-/// synchronizing with writers: a snapshot never changes after
-/// [`TreeSnapshot::capture`], so any number of threads may share one (it is
-/// `Send + Sync`) while the live tree keeps self-adjusting. The frozen
-/// occupancy is reachable through [`TreeSnapshot::occupancy`]; the lookups
-/// here add bounds checks, answering `None` instead of panicking, because
-/// their ids come from the network.
+/// synchronizing with writers: a snapshot never changes after it is
+/// captured, so any number of threads may share one (it is `Send + Sync`)
+/// while the live tree keeps self-adjusting. The lookups add bounds checks,
+/// answering `None` instead of panicking, because their ids come from the
+/// network.
 ///
 /// [`TreeSnapshot::fingerprint`] renders the exact same text format as
 /// [`occupancy_to_string`], which is what lets snapshot reads be checked
 /// against the serial-replay determinism oracle byte for byte.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeSnapshot {
-    occupancy: Occupancy,
+    tree: CompleteTree,
+    /// Entry `e` is the heap index of the node that held element `e`.
+    nd: Box<[u32]>,
 }
 
 impl TreeSnapshot {
-    /// Freezes the current state of an occupancy: two slab memcpys.
+    /// Freezes the current state of an occupancy, copying its `nd` map.
     pub fn capture(occupancy: &Occupancy) -> Self {
         TreeSnapshot {
-            occupancy: occupancy.clone(),
+            tree: occupancy.tree(),
+            nd: Box::from(occupancy.nd_slab()),
         }
-    }
-
-    /// The frozen occupancy.
-    #[inline]
-    pub fn occupancy(&self) -> &Occupancy {
-        &self.occupancy
     }
 
     /// The node that held `element` at capture time, or `None` for an
     /// element outside this tree's universe.
     #[inline]
     pub fn node_of(&self, element: ElementId) -> Option<NodeId> {
-        (element.index() < self.occupancy.num_elements()).then(|| self.occupancy.node_of(element))
-    }
-
-    /// The element that was stored at `node`, or `None` for a node outside
-    /// the tree.
-    #[inline]
-    pub fn element_at(&self, node: NodeId) -> Option<ElementId> {
-        self.occupancy
-            .tree()
-            .contains(node)
-            .then(|| self.occupancy.element_at(node))
+        self.nd.get(element.usize()).copied().map(NodeId::new)
     }
 
     /// The level `element` sat at, or `None` if out of range.
@@ -82,9 +68,13 @@ impl TreeSnapshot {
 
     /// Renders the snapshot in the replay-fingerprint text format —
     /// byte-identical to [`occupancy_to_string`] applied to the occupancy
-    /// the snapshot was captured from.
+    /// the snapshot was captured from. Inverts `nd` into heap order first.
     pub fn fingerprint(&self) -> String {
-        occupancy_to_string(&self.occupancy)
+        let mut heap_order = vec![0u32; self.tree.num_nodes() as usize];
+        for (element, &node) in self.nd.iter().enumerate() {
+            heap_order[node as usize] = element as u32;
+        }
+        render_heap_order(self.tree.num_nodes(), heap_order)
     }
 }
 
@@ -137,12 +127,21 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// Serialises an occupancy into the snapshot text format: the elements in
-/// heap order. [`TreeSnapshot::fingerprint`] renders through this same
-/// function, so the two can never drift apart.
+/// heap order. [`TreeSnapshot::fingerprint`] renders through the same
+/// formatter, so the two can never drift apart.
 pub fn occupancy_to_string(occupancy: &Occupancy) -> String {
-    let mut output = format!("satn-occupancy nodes={}\n", occupancy.num_elements());
-    for (_, element) in occupancy.iter() {
-        output.push_str(&element.index().to_string());
+    render_heap_order(
+        occupancy.num_elements(),
+        occupancy.iter().map(|(_, element)| element.index()),
+    )
+}
+
+/// The snapshot text format: the header, then one element index per node in
+/// heap order.
+fn render_heap_order(nodes: u32, elements: impl IntoIterator<Item = u32>) -> String {
+    let mut output = format!("satn-occupancy nodes={nodes}\n");
+    for element in elements {
+        output.push_str(&element.to_string());
         output.push('\n');
     }
     output
@@ -247,19 +246,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let mut occupancy = placement::random_occupancy(tree, &mut rng);
         let snapshot = TreeSnapshot::capture(&occupancy);
-        assert_eq!(snapshot.occupancy().num_elements(), 31);
         for (node, element) in occupancy.iter() {
             assert_eq!(snapshot.node_of(element), Some(node));
-            assert_eq!(snapshot.element_at(node), Some(element));
             assert_eq!(snapshot.level_of(element), Some(node.level()));
             assert_eq!(snapshot.access_cost(element), Some(node.level() as u64 + 1));
         }
         // Out-of-range lookups answer None instead of panicking.
         assert_eq!(snapshot.node_of(ElementId::new(31)), None);
-        assert_eq!(snapshot.element_at(NodeId::new(31)), None);
         // The snapshot fingerprint is byte-identical to the occupancy's.
         assert_eq!(snapshot.fingerprint(), occupancy_to_string(&occupancy));
-        assert_eq!(snapshot.occupancy(), &occupancy);
 
         // Mutating the live occupancy never changes the frozen view.
         let before = snapshot.clone();
