@@ -24,7 +24,8 @@
 //! ([`ShardedScenario::epoch_replay`]) — which requires the clients to have
 //! replayed exactly the scenario's request stream (what `satn-load` does) —
 //! and the live metrics registry is checked counter for counter against the
-//! report (the deterministic-metrics oracle). Clients can also poll the same
+//! report ([`EngineReport::verify_metrics`], the deterministic-metrics
+//! oracle). Clients can also poll the same
 //! registry mid-run over the wire with a `Stats` frame, and
 //! `--metrics-dump` prints the final registry as Prometheus-style text plus
 //! the tracer's recent handover/drain spans on shutdown.
@@ -32,10 +33,9 @@
 //! serving failure or oracle divergence.
 
 use satn_core::AlgorithmKind;
-use satn_obs::names;
 use satn_serve::{
-    ingest_channel_with_metrics, serve_connections, EngineMetrics, EngineReport, Parallelism,
-    ReshardPolicy, ReshardSchedule, ServeError, ShardedEngineConfig, ShardedScenario,
+    ingest_channel_with_metrics, serve_connections, EngineReport, Parallelism, ReshardPolicy,
+    ReshardSchedule, ServeError, ShardedEngineConfig, ShardedScenario,
 };
 use satn_sim::{ShardRouter, SimRunner, WorkloadSpec};
 use std::io::Write;
@@ -52,51 +52,6 @@ const USAGE: &str = "usage: satnd [--listen ADDR] [--shards N] [--levels N] [--a
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
     ExitCode::FAILURE
-}
-
-/// The deterministic-metrics oracle: every counter the engine thread updates
-/// at drain boundaries must equal the corresponding [`EngineReport`] total
-/// exactly — the registry is an `AtomicU64` restatement of the replay
-/// ledger, not an approximation of it.
-fn verify_metrics(metrics: &EngineMetrics, report: &EngineReport) -> Result<(), String> {
-    let serving = report.merged.total();
-    let epoch = (report.epoch_fingerprints.len() as u64).saturating_sub(1);
-    let expectations = [
-        (
-            names::REQUESTS_SERVED,
-            metrics.requests_served.get(),
-            report.requests,
-        ),
-        (
-            names::BATCHES_DRAINED,
-            metrics.batches_drained.get(),
-            report.drains,
-        ),
-        (
-            names::ACCESS_COST,
-            metrics.access_cost.get(),
-            serving.access,
-        ),
-        (
-            names::ADJUSTMENT_COST,
-            metrics.adjustment_cost.get(),
-            serving.adjustment,
-        ),
-        (
-            names::MIGRATION_UNITS,
-            metrics.migration_units.get(),
-            report.migration.total(),
-        ),
-        (names::RESHARD_EPOCH, metrics.reshard_epoch.get(), epoch),
-    ];
-    for (name, got, want) in expectations {
-        if got != want {
-            return Err(format!(
-                "{name}: registry says {got}, the report says {want}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -312,7 +267,7 @@ fn main() -> ExitCode {
             eprintln!("satnd: ORACLE DIVERGED: {divergence}");
             return ExitCode::FAILURE;
         }
-        if let Err(divergence) = verify_metrics(&metrics, &report) {
+        if let Err(divergence) = report.verify_metrics(&metrics) {
             eprintln!("satnd: METRICS ORACLE DIVERGED: {divergence}");
             return ExitCode::FAILURE;
         }

@@ -1,12 +1,11 @@
 //! The sharded multi-tree serving engine.
 
-use crate::drain::DrainControl;
 use crate::error::ServeError;
 use crate::ingest::{IngestMessage, IngestQueue};
 use crate::snapshot::{EngineSnapshot, SnapshotHub, SnapshotReader};
 use satn_core::{AlgorithmKind, SelfAdjustingTree};
-use satn_exec::Parallelism;
-use satn_obs::{EngineMetrics, TraceKind, TraceRing, TraceStamp};
+use satn_exec::{for_each_ordered, Parallelism};
+use satn_obs::{names, EngineMetrics, TraceKind, TraceRing, TraceStamp};
 use satn_sim::{ReshardSchedule, ShardedScenario};
 use satn_tree::{
     snapshot, CompleteTree, CostObserver, CostSummary, ElementId, MigrationCost, Occupancy,
@@ -32,6 +31,50 @@ const OFFLINE_REBUILD: &str = "offline algorithms cannot be rebuilt mid-stream";
 struct Shard {
     tree: Box<dyn SelfAdjustingTree + Send>,
     pending: Vec<ElementId>,
+}
+
+/// The batch-buffer bookkeeping of the engine: how many requests are
+/// buffered across all shards, when the automatic drain fires, and the run's
+/// submitted/drain counters. Every submit and every drain goes through it,
+/// so the reshard drain fence sees exactly the buffer a threshold drain
+/// would.
+#[derive(Debug)]
+struct DrainControl {
+    threshold: usize,
+    pending: usize,
+    drains: u64,
+    submitted: u64,
+}
+
+impl DrainControl {
+    /// Creates a control with the given automatic-drain threshold.
+    fn new(threshold: usize) -> Self {
+        DrainControl {
+            threshold,
+            pending: 0,
+            drains: 0,
+            submitted: 0,
+        }
+    }
+
+    /// Counts one buffered request; `true` when the buffered total has
+    /// reached the threshold and the caller must drain.
+    fn note_submitted(&mut self) -> bool {
+        self.pending += 1;
+        self.submitted += 1;
+        self.pending >= self.threshold
+    }
+
+    /// Starts a drain: `false` (and no drain counted) when nothing is
+    /// buffered, else the buffer empties and the drain is counted.
+    fn begin_drain(&mut self) -> bool {
+        if self.pending == 0 {
+            return false;
+        }
+        self.pending = 0;
+        self.drains += 1;
+        true
+    }
 }
 
 /// Mirrors the deterministic cost ledger into the engine's atomic metric
@@ -238,12 +281,12 @@ impl ShardedEngine {
 
     /// Requests submitted so far (served or still buffered).
     pub fn submitted(&self) -> u64 {
-        self.control.submitted()
+        self.control.submitted
     }
 
     /// Drains triggered so far.
     pub fn drains(&self) -> u64 {
-        self.control.drains()
+        self.control.drains
     }
 
     /// The epoch-versioned per-shard cost accounting of everything served so
@@ -393,12 +436,17 @@ impl ShardedEngine {
         let before = self.accounting.requests();
         let started = Instant::now();
         let observer = MetricsCostObserver(&self.metrics);
-        let outcome = crate::drain::drain_shards(
+        let accounting = &mut self.accounting;
+        // Batch summaries stream back in shard order: each one reaches the
+        // registry mirror just before it merges into the ledger (every
+        // shard's served prefix is accounted, failed or not), and the error
+        // kept is the lowest-indexed failing shard's, whatever order the
+        // workers finish in.
+        let mut failure = None;
+        for_each_ordered(
             &mut self.shards,
             self.parallelism,
-            &mut self.accounting,
-            &observer,
-            |shard| {
+            |_, shard| {
                 let mut delta = CostSummary::new();
                 let outcome = if shard.pending.is_empty() {
                     Ok(())
@@ -407,6 +455,14 @@ impl ShardedEngine {
                 };
                 shard.pending.clear();
                 (delta, outcome)
+            },
+            |index, (delta, outcome)| {
+                let shard = index as u32;
+                observer.on_batch(shard, &delta);
+                accounting.merge_into_shard(shard, &delta);
+                if let (Err(error), None) = (outcome, failure.as_ref()) {
+                    failure = Some(ServeError::Tree { shard, error });
+                }
             },
         );
         // Every pending buffer was consumed (cleared even on failure), and a
@@ -424,7 +480,9 @@ impl ShardedEngine {
             served,
             detail: served - before,
         });
-        outcome.map_err(|(shard, error)| ServeError::Tree { shard, error })?;
+        if let Some(error) = failure {
+            return Err(error);
+        }
         // The drain boundary is the read side's publication point.
         self.publish_snapshot();
         Ok(())
@@ -481,7 +539,7 @@ impl ShardedEngine {
         });
         // The fence state is the closing epoch's boundary fingerprint.
         self.capture_boundary_fingerprints();
-        self.boundaries.push(self.control.submitted() as usize);
+        self.boundaries.push(self.control.submitted as usize);
         // 2. Migrate: canonical delete/re-insert, materializing (and
         // rebuilding from) only the touched shards' placements — an
         // untouched shard's empty entry means "keep the live tree".
@@ -577,7 +635,7 @@ impl ShardedEngine {
             };
             let due = events
                 .front()
-                .is_some_and(|event| all || event.at as u64 <= self.control.submitted());
+                .is_some_and(|event| all || event.at as u64 <= self.control.submitted);
             if !due {
                 return Ok(());
             }
@@ -687,7 +745,7 @@ impl ShardedEngine {
             per_shard,
             merged: self.accounting.merged(),
             migration: self.accounting.migration_total(),
-            drains: self.control.drains(),
+            drains: self.control.drains,
             requests: self.accounting.requests(),
             epoch_fingerprints: self.epoch_fingerprints,
             boundaries: self.boundaries,
@@ -752,9 +810,9 @@ pub struct EngineReport {
 impl EngineReport {
     /// Verifies this report byte for byte against the epoch-segmented
     /// serial reference replay of the same scenario — the determinism
-    /// oracle shared by the `serve-smoke` CI binary, the `satnd --verify`
-    /// mode, and the transport tests: epoch schedule and boundaries, the
-    /// full epoch-versioned cost ledger, and every per-epoch per-shard
+    /// oracle shared by the `satnd --verify` mode, the `perfbench` rounds,
+    /// and the engine and transport tests: epoch schedule and boundaries,
+    /// the full epoch-versioned cost ledger, and every per-epoch per-shard
     /// boundary fingerprint must all match.
     ///
     /// # Errors
@@ -785,6 +843,57 @@ impl EngineReport {
                         "epoch {epoch} shard {shard} boundary fingerprint diverged"
                     ));
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// The deterministic-metrics oracle: every counter the engine updates at
+    /// drain boundaries must equal its total in this report exactly — the
+    /// registry is an `AtomicU64` restatement of the ledger, not an
+    /// approximation of it. Check it after the engine that filled `metrics`
+    /// has finished; together with [`EngineReport::verify_against`] it
+    /// makes every counter equal its serial-replay total.
+    ///
+    /// # Errors
+    ///
+    /// Names the first counter that disagrees, with both values.
+    pub fn verify_metrics(&self, metrics: &EngineMetrics) -> Result<(), String> {
+        let serving = self.merged.total();
+        let epoch = (self.epoch_fingerprints.len() as u64).saturating_sub(1);
+        let expectations = [
+            (
+                names::REQUESTS_SERVED,
+                metrics.requests_served.get(),
+                self.requests,
+            ),
+            (
+                names::BATCHES_DRAINED,
+                metrics.batches_drained.get(),
+                self.drains,
+            ),
+            (
+                names::ACCESS_COST,
+                metrics.access_cost.get(),
+                serving.access,
+            ),
+            (
+                names::ADJUSTMENT_COST,
+                metrics.adjustment_cost.get(),
+                serving.adjustment,
+            ),
+            (
+                names::MIGRATION_UNITS,
+                metrics.migration_units.get(),
+                self.migration.total(),
+            ),
+            (names::RESHARD_EPOCH, metrics.reshard_epoch.get(), epoch),
+        ];
+        for (name, got, want) in expectations {
+            if got != want {
+                return Err(format!(
+                    "{name}: registry says {got}, the report says {want}"
+                ));
             }
         }
         Ok(())

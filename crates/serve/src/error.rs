@@ -3,7 +3,6 @@
 //! so every caller — in-process or networked — handles failure the same way.
 
 use crate::wire::WireError;
-use satn_network::NetworkError;
 use satn_tree::{ElementId, TreeError};
 use satn_workloads::shard::ReshardError;
 use std::fmt;
@@ -26,13 +25,6 @@ pub enum ServeError {
         shard: u32,
         /// The underlying tree error.
         error: TreeError,
-    },
-    /// An ego-tree shard failed while instantiating or serving.
-    Network {
-        /// The shard the failure occurred on.
-        shard: u32,
-        /// The underlying network error.
-        error: NetworkError,
     },
     /// A reshard plan does not fit the engine's partition.
     Reshard(ReshardError),
@@ -111,7 +103,6 @@ impl fmt::Display for ServeError {
                 )
             }
             ServeError::Tree { shard, error } => write!(f, "shard {shard}: {error}"),
-            ServeError::Network { shard, error } => write!(f, "shard {shard}: {error}"),
             ServeError::Reshard(error) => error.fmt(f),
             ServeError::Handover { shard, reason } => {
                 write!(
@@ -140,7 +131,6 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::OutOfUniverse { .. } => None,
             ServeError::Tree { error, .. } => Some(error),
-            ServeError::Network { error, .. } => Some(error),
             ServeError::Reshard(error) => Some(error),
             ServeError::Handover { .. } => None,
             ServeError::ReshardUnsupported { .. } => None,

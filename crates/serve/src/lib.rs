@@ -34,9 +34,6 @@
 //!   bump** (log +
 //!   ledger). Also reachable as a [`ReshardPlan`] control frame through the
 //!   ingest queue, or automatically via a load-adaptive [`ReshardPolicy`],
-//! * [`SourceShardedEngine`] — the ego-tree-per-source mode backed by
-//!   `satn-network`: source-affinity routing groups each source's ego-tree
-//!   onto one shard,
 //! * [`Ingest`] — the transport-agnostic ingestion trait (`send`,
 //!   `send_burst`, `flush`, `reshard`, `lookup`, `stats`), implemented by
 //!   both the in-process [`IngestSender`] and the TCP client [`TcpIngest`];
@@ -77,9 +74,11 @@
 //! replay — [`satn_sim::ShardedScenario::epoch_replay`] running *standalone*
 //! per-epoch per-shard scenarios through [`satn_sim::SimRunner`], re-deriving
 //! every handover itself — reproduces the engine's per-epoch cost
-//! sub-summaries, migration costs, and boundary fingerprints byte for byte,
-//! which is exactly what the crate's property tests and the `serve-smoke` CI
-//! binary assert.
+//! sub-summaries, migration costs, and boundary fingerprints byte for byte
+//! ([`EngineReport::verify_against`]), and the engine's metric registry
+//! equals the report counter for counter ([`EngineReport::verify_metrics`]).
+//! The crate's property tests, `satnd --verify` over loopback TCP, and every
+//! `perfbench` round assert both.
 //!
 //! ## Example
 //!
@@ -112,8 +111,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod config;
-mod drain;
-mod ego;
 mod engine;
 mod error;
 mod ingest;
@@ -122,7 +119,6 @@ mod snapshot;
 mod wire;
 
 pub use config::ShardedEngineConfig;
-pub use ego::{SourceShardedEngine, SourceShardedReport};
 pub use engine::{EngineReport, ShardReport, ShardedEngine, DEFAULT_DRAIN_THRESHOLD};
 pub use error::ServeError;
 pub use ingest::{
@@ -154,7 +150,6 @@ pub use satn_workloads::shard::{
 fn _assert_parallel_safe() {
     fn assert_send<T: Send + 'static>() {}
     assert_send::<ShardedEngine>();
-    assert_send::<SourceShardedEngine>();
     assert_send::<IngestSender>();
     assert_send::<IngestQueue>();
     assert_send::<EngineReport>();

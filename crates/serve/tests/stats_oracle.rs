@@ -10,6 +10,7 @@
 //!   differ.
 //! * A `MetricsSnapshot` taken at the final drain boundary survives the
 //!   wire codec and still answers by metric name.
+//! * One counter out of step makes the oracle fail and name that counter.
 
 use satn_core::AlgorithmKind;
 use satn_obs::names;
@@ -63,19 +64,12 @@ fn run_metered(
     (metrics, tracer.stamps(), report)
 }
 
-/// The oracle proper: at a drain boundary (and `finish` ends on one) every
-/// deterministic counter in the registry equals its report total exactly.
+/// The oracle proper ([`EngineReport::verify_metrics`]): at a drain boundary
+/// (and `finish` ends on one) every deterministic counter in the registry
+/// equals its report total exactly. The gauges are not part of the oracle,
+/// but a finished run must leave them empty too.
 fn assert_counters_equal_report(metrics: &EngineMetrics, report: &EngineReport) {
-    let serving = report.merged.total();
-    assert_eq!(metrics.requests_served.get(), report.requests);
-    assert_eq!(metrics.batches_drained.get(), report.drains);
-    assert_eq!(metrics.access_cost.get(), serving.access);
-    assert_eq!(metrics.adjustment_cost.get(), serving.adjustment);
-    assert_eq!(metrics.migration_units.get(), report.migration.total());
-    assert_eq!(
-        metrics.reshard_epoch.get(),
-        report.epoch_fingerprints.len() as u64 - 1,
-    );
+    report.verify_metrics(metrics).unwrap();
     // The stream is fully drained: no queue depth, no buffered requests.
     assert_eq!(metrics.ingest_queue_depth.get(), 0);
     for gauge in &metrics.shard_buffered {
@@ -129,6 +123,34 @@ fn counters_equal_replay_totals_at_every_thread_count() {
                 assert_eq!(&report, reference_report);
             }
         }
+    }
+}
+
+#[test]
+fn the_metrics_oracle_names_the_counter_that_disagrees() {
+    let scenario = reshard_scenario();
+    type Bump = fn(&EngineMetrics);
+    let bumps: [(&str, Bump); 6] = [
+        (names::REQUESTS_SERVED, |m| m.requests_served.inc()),
+        (names::BATCHES_DRAINED, |m| m.batches_drained.inc()),
+        (names::ACCESS_COST, |m| m.access_cost.inc()),
+        (names::ADJUSTMENT_COST, |m| m.adjustment_cost.inc()),
+        (names::MIGRATION_UNITS, |m| m.migration_units.inc()),
+        (names::RESHARD_EPOCH, |m| {
+            m.reshard_epoch.set(m.reshard_epoch.get() + 1)
+        }),
+    ];
+    for (name, bump) in bumps {
+        let (metrics, _stamps, report) = run_metered(&scenario, Parallelism::Threads(2));
+        report.verify_metrics(&metrics).unwrap();
+        // One counter moves after `finish`: the oracle must fail and say
+        // which counter it was.
+        bump(&metrics);
+        let error = report.verify_metrics(&metrics).unwrap_err();
+        assert!(
+            error.starts_with(&format!("{name}: registry says ")),
+            "{name}: {error}"
+        );
     }
 }
 

@@ -16,14 +16,12 @@ use std::str::FromStr;
 
 /// How requests (and hence elements) are assigned to shards.
 ///
-/// Every policy is a pure function of the request and the shard count, so the
-/// same stream always partitions the same way. `Hash` and `Range` are
-/// *ownership* policies: they fix which shard's tree stores which element.
-/// `SourceAffinity` keys on the request's source instead — the policy of the
-/// ego-tree-per-source serving mode, where each source's requests must land
-/// on the shard holding that source's tree. Applied to a plain element
-/// stream (where the element is its own source) it degenerates to striping
-/// `element mod shards`.
+/// Every policy is a pure function of the element, the universe size and
+/// the shard count, so the same stream always partitions the same way, and
+/// each one fixes which shard's tree stores which element. `Hash` scatters,
+/// `Range` keeps neighbouring ids together, and `SourceAffinity` stripes
+/// `element mod shards`: a request stream is a sequence of elements, each
+/// its own source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum ShardRouter {
@@ -34,8 +32,9 @@ pub enum ShardRouter {
     /// Contiguous balanced ranges: element `e` of a universe of `U` elements
     /// goes to shard `e · S / U`. Preserves key locality within a shard.
     Range,
-    /// Route by the request's source id (`source mod shards`), so all
-    /// requests of one source land on one shard.
+    /// Stripe by the request's source id, which for an element stream is
+    /// the element itself (`element mod shards`), so all requests of one
+    /// source land on one shard.
     SourceAffinity,
 }
 
@@ -85,13 +84,6 @@ impl ShardRouter {
             }
             ShardRouter::SourceAffinity => element.index() % shards,
         }
-    }
-
-    /// The shard a request from `source` is routed to under source-affinity
-    /// routing (the other policies ignore the source and this method).
-    pub fn shard_of_source(self, source: u32, shards: u32) -> u32 {
-        assert!(shards > 0, "a partition needs at least one shard");
-        source % shards
     }
 }
 
@@ -1109,7 +1101,6 @@ mod tests {
         for global in (0..12u32).map(ElementId::new) {
             assert_eq!(partition.shard_of(global), Some(global.index() % 3));
         }
-        assert_eq!(ShardRouter::SourceAffinity.shard_of_source(7, 3), 1);
     }
 
     #[test]
